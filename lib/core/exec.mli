@@ -1,14 +1,13 @@
 (** The instrumented VEX executor: the analogue of running the client
     binary under Valgrind with the Herbgrind tool loaded.
 
-    Client semantics are shared with the fast interpreter through
-    {!Vex.Eval}; this module adds the three shadow executions of paper
-    section 4 (reals, influences, expressions), spot bookkeeping, libm
-    wrapping, bit-trick recognition, compensation detection, and the
-    type-inference fast paths. Programs execute as pre-decoded
-    superblocks ({!Vex.Compile}, cached process-wide); per-block
-    temporaries and shadow slots are arena-allocated and bulk-reset, and
-    concrete trace nodes are materialized only when the compiled program
+    This is the Herbgrind shadow domain of the shadow block executor
+    {!Vex.Shadow_exec}, which owns the stepping loop, memory, frames,
+    shadow tables and fast paths (and is shared with the sanitizer,
+    {!Sanitize.Sexec}). The domain adds the three shadow executions of
+    paper section 4 (reals, influences, expressions), spot bookkeeping,
+    libm wrapping, bit-trick recognition and compensation detection.
+    Concrete trace nodes are materialized only when the compiled program
     can reach a trace consumer. Use {!Analysis.analyze} unless you need
     the raw tables. *)
 
@@ -62,8 +61,6 @@ type result = {
   r_stats : stats;
 }
 
-exception Client_error of string
-
 val run :
   ?mem_size:int ->
   ?max_steps:int ->
@@ -88,4 +85,7 @@ val run :
     immediately on the first block, so an already-expired budget gets no
     free work); batch drivers enforce wall-clock deadlines by raising
     from the callback (the exception propagates out of [run]
-    untouched). *)
+    untouched).
+
+    Raises {!Vex.Machine.Client_error} on an out-of-bounds memory
+    access, a jump outside the program or an exceeded step budget. *)

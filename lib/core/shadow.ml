@@ -32,11 +32,7 @@ type t = {
    the real-number comparison agrees with the client's *)
 type sbool = { client_b : bool; shadow_b : bool; binfl : IntSet.t }
 
-type slot =
-  | SNone
-  | SVal of t
-  | SBool of sbool
-  | SVec of slot array  (* 2 (F64) or 4 (F32) lanes, each SNone/SVal *)
+type slot = (t, sbool) Vex.Shadow_exec.slot
 
 (* lazily shadow a client value that has no recorded provenance; trace keys
    always hash the exact value so equivalence inference is consistent

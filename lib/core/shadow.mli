@@ -27,11 +27,7 @@ type t = {
 type sbool = { client_b : bool; shadow_b : bool; binfl : IntSet.t }
 
 (** What a VEX temporary or storage slot holds. *)
-type slot =
-  | SNone  (** nothing shadowed *)
-  | SVal of t  (** one scalar shadow (possibly riding in an integer) *)
-  | SBool of sbool
-  | SVec of slot array  (** SIMD lanes, 2 (F64) or 4 (F32) *)
+type slot = (t, sbool) Vex.Shadow_exec.slot
 
 val fresh_leaf : ?single:bool -> traces:bool -> float -> t
 (** Lazily shadow a client value with no recorded provenance (paper 6.1).

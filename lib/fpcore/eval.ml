@@ -107,18 +107,7 @@ let rec eval_r ~prec (env : (string * B.t) list) (e : Ast.expr) : B.t =
   | Ast.Const "LN2" -> Bignum.Bigfloat_math.ln2 ~prec
   | Ast.Const c -> raise (Eval_error ("unknown constant " ^ c))
   | Ast.Var x -> lookup env x
-  | Ast.Op ("-", [ a ]) -> B.neg (eval_r ~prec env a)
-  | Ast.Op ("+", [ a ]) -> eval_r ~prec env a
-  | Ast.Op (op, args) ->
-      let vals = List.map (eval_r ~prec env) args in
-      begin
-        match (op, vals) with
-        | "+", a :: (_ :: _ as rest) -> List.fold_left (B.add ~prec) a rest
-        | "-", [ a; b ] -> B.sub ~prec a b
-        | "*", a :: (_ :: _ as rest) -> List.fold_left (B.mul ~prec) a rest
-        | "/", [ a; b ] -> B.div ~prec a b
-        | _ -> Vex.Eval.libm_apply_real ~prec op (Array.of_list vals)
-      end
+  | Ast.Op (op, args) -> apply_r ~prec op (List.map (eval_r ~prec env) args)
   | Ast.If (c, t, e2) ->
       if eval_rb ~prec env c then eval_r ~prec env t else eval_r ~prec env e2
   | Ast.Let (binds, body) ->
@@ -187,6 +176,17 @@ and eval_rb ~prec env (e : Ast.expr) : bool =
   | Ast.OrE args -> List.exists (eval_rb ~prec env) args
   | Ast.NotE a -> not (eval_rb ~prec env a)
   | _ -> raise (Eval_error "numeric in boolean position")
+
+(* exact application of one operation to evaluated arguments *)
+and apply_r ~prec op (vals : B.t list) : B.t =
+  match (op, vals) with
+  | "-", [ a ] -> B.neg a
+  | "+", [ a ] -> a
+  | "+", a :: (_ :: _ as rest) -> List.fold_left (B.add ~prec) a rest
+  | "-", [ a; b ] -> B.sub ~prec a b
+  | "*", a :: (_ :: _ as rest) -> List.fold_left (B.mul ~prec) a rest
+  | "/", [ a; b ] -> B.div ~prec a b
+  | _ -> Vex.Eval.libm_apply_real ~prec op (Array.of_list vals)
 
 (* run an FPCore on a list of input tuples, returning per-input
    (double result, bits of error against the real evaluation) *)

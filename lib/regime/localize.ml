@@ -25,17 +25,6 @@ type spot = {
   sp_points : int;  (* points where this operation evaluated *)
 }
 
-(* exact application of one operation, mirroring [Fpcore.Eval.eval_r] *)
-let apply_r ~prec op (vals : B.t list) : B.t =
-  match (op, vals) with
-  | "-", [ a ] -> B.neg a
-  | "+", [ a ] -> a
-  | "+", a :: (_ :: _ as rest) -> List.fold_left (B.add ~prec) a rest
-  | "-", [ a; b ] -> B.sub ~prec a b
-  | "*", a :: (_ :: _ as rest) -> List.fold_left (B.mul ~prec) a rest
-  | "/", [ a; b ] -> B.div ~prec a b
-  | _ -> Vex.Eval.libm_apply_real ~prec op (Array.of_list vals)
-
 (* float application of one operation to rounded exact arguments *)
 let apply_f op (vals : float list) : float =
   match (op, vals) with
@@ -80,7 +69,7 @@ let local_errors ?(prec = 256) (e : Ast.expr) (ctx : Sampler.t) : spot list =
     match e with
     | Ast.Op (op, args) ->
         let vals = List.mapi (fun i a -> walk renv (i :: path) a) args in
-        let r = apply_r ~prec op vals in
+        let r = Fpcore.Eval.apply_r ~prec op vals in
         (match apply_f op (List.map B.to_float vals) with
         | f -> record (List.rev path) e (Ieee.bits_of_error f (B.to_float r))
         | exception _ -> ());

@@ -1,30 +1,35 @@
-(** Sparse shadow storage over a byte-addressed space, polymorphic in
-    the shadow payload so the full analysis (Bigfloat shadows) and the
-    sanitizer (double-double shadows) share one aliasing discipline: an
-    entry covers [addr, addr+size) bytes and any overlapping write kills
-    it. Entries are expected at 4-byte granularity (F32/F64 slots and
-    V128 lanes), which bounds the overlap scan. *)
+(** Paged shadow storage over a byte-addressed space, polymorphic in the
+    shadow payload so both shadow domains of {!Shadow_exec} share one
+    aliasing discipline: an entry covers [addr, addr+size) bytes and any
+    overlapping write kills it.
 
-type 'a t = (int, 'a * int) Hashtbl.t
+    The table is dense: the space is cut into 4 KiB pages, allocated on
+    first write, with one cell per 4-byte-aligned address. A load or
+    store of a shadowed value costs a few array reads, and nothing
+    allocates after the first touch of a page.
 
-val create : int -> 'a t
+    {b Alignment rule.} Entries start at 4-aligned addresses only: a
+    {!set} at an unaligned address records nothing (it still kills the
+    entries it overlaps), and a {!get} at an unaligned address always
+    misses. The executors shadow F32/F64 slots and V128 lanes, which
+    MiniC lays out in 8-aligned slots. Entries are at most 16 bytes
+    long, which bounds the overlap scan. *)
 
-val clear_range : 'a t -> int -> int -> unit
-(** [clear_range tbl addr size] removes every entry overlapping
-    [addr, addr+size). *)
+type 'a t
 
-val write : 'a t -> int -> int -> 'a option -> unit
-(** [write tbl addr size sh] clears the range, then (for [Some]) records
-    [sh] as covering [addr, addr+size). [None] just clears. *)
-
-val read : 'a t -> int -> int -> 'a option
-(** [read tbl addr size] returns the entry at exactly [addr] with
-    exactly [size] bytes, if any. *)
-
-val set : 'a t -> int -> int -> 'a -> unit
-(** [write] with a present payload, minus the option allocation — for
-    engines whose store path is allocation-sensitive. *)
+val create : int -> 'a -> 'a t
+(** [create nbytes absent] shadows an [nbytes]-byte space, initially
+    empty; [absent] is what {!get} returns on a miss. An entry starting
+    outside [0, nbytes) may be dropped: callers bounds-check first. *)
 
 val get : 'a t -> int -> int -> 'a
-(** [read] minus the option allocation: returns the entry at exactly
-    [addr]/[size] or raises [Not_found]. *)
+(** [get tbl addr size] returns the entry starting at exactly [addr]
+    with exactly [size] bytes, or [absent]. Allocation-free. *)
+
+val set : 'a t -> int -> int -> 'a -> unit
+(** [set tbl addr size sh] kills every entry overlapping
+    [addr, addr+size), then records [sh] as covering it. *)
+
+val clear_range : 'a t -> int -> int -> unit
+(** [clear_range tbl addr size] kills every entry overlapping
+    [addr, addr+size). *)

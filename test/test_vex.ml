@@ -149,26 +149,86 @@ let indirect_jump () =
   let st = Machine.run prog in
   Alcotest.(check (list (float 0.0))) "returned" [ 99.0 ] (Machine.output_floats st)
 
+(* every engine raises the same client error *)
+let engines ?max_steps () : (string * (Ir.prog -> unit)) list =
+  let cfg = Core.Config.default in
+  [
+    ("machine", fun p -> ignore (Machine.run ?max_steps p));
+    ("full", fun p -> ignore (Core.Exec.run ?max_steps cfg p));
+    ("sanitize", fun p -> ignore (Sanitize.Sexec.run ?max_steps cfg p));
+  ]
+
+let raises_client_error name run prog =
+  checkb name true
+    (try
+       run prog;
+       false
+     with Machine.Client_error _ -> true)
+
 let out_of_bounds_memory () =
   let open Ir in
   let b1 = Builder.create "entry" in
   Builder.emit b1 (Store (Const (CI64 (-8L)), Const (CF64 1.0)));
   let prog = make_prog [ Builder.finish b1 Halt ] in
-  checkb "negative address rejected" true
-    (try
-       ignore (Machine.run prog);
-       false
-     with Machine.Client_error _ -> true)
+  List.iter
+    (fun (engine, run) ->
+      raises_client_error (engine ^ ": negative address rejected") run prog)
+    (engines ())
 
 let step_budget () =
   let open Ir in
   let b1 = Builder.create "entry" in
   let prog = make_prog [ Builder.finish b1 (Goto "entry") ] in
-  checkb "infinite loop stopped" true
-    (try
-       ignore (Machine.run ~max_steps:100 prog);
-       false
-     with Machine.Client_error _ -> true)
+  List.iter
+    (fun (engine, run) ->
+      raises_client_error (engine ^ ": infinite loop stopped") run prog)
+    (engines ~max_steps:100 ())
+
+(* ---------- shadow table ---------- *)
+
+let shadowtbl_hit () =
+  let t = Shadowtbl.create 8192 0 in
+  Shadowtbl.set t 16 8 1;
+  Shadowtbl.set t 24 4 2;
+  checki "exact address and size" 1 (Shadowtbl.get t 16 8);
+  checki "neighbour intact" 2 (Shadowtbl.get t 24 4);
+  checki "empty cell misses" 0 (Shadowtbl.get t 32 8);
+  checki "untouched page misses" 0 (Shadowtbl.get t 6000 8)
+
+let shadowtbl_overlap_kills () =
+  let t = Shadowtbl.create 8192 0 in
+  Shadowtbl.set t 16 8 1;
+  Shadowtbl.set t 20 4 2;
+  checki "inner write kills the covering entry" 0 (Shadowtbl.get t 16 8);
+  checki "inner write recorded" 2 (Shadowtbl.get t 20 4);
+  Shadowtbl.clear_range t 18 4;
+  checki "clear kills what it overlaps" 0 (Shadowtbl.get t 20 4);
+  (* 4 KiB pages: an entry at 4092 reaches into the second page *)
+  Shadowtbl.set t 4092 8 3;
+  Shadowtbl.set t 4096 4 4;
+  checki "write on the next page kills the straddling entry" 0
+    (Shadowtbl.get t 4092 8);
+  Shadowtbl.set t 4092 8 5;
+  checki "straddling write kills the next page's entry" 0
+    (Shadowtbl.get t 4096 4);
+  checki "straddling entry recorded" 5 (Shadowtbl.get t 4092 8)
+
+let shadowtbl_size_mismatch () =
+  let t = Shadowtbl.create 8192 0 in
+  Shadowtbl.set t 16 8 1;
+  checki "narrower read misses" 0 (Shadowtbl.get t 16 4);
+  checki "wider read misses" 0 (Shadowtbl.get t 16 16);
+  checki "entry survives the misses" 1 (Shadowtbl.get t 16 8)
+
+let shadowtbl_unaligned () =
+  let t = Shadowtbl.create 8192 0 in
+  Shadowtbl.set t 18 8 1;
+  checki "unaligned set records nothing" 0 (Shadowtbl.get t 18 8);
+  Shadowtbl.set t 16 8 2;
+  checki "unaligned read misses" 0 (Shadowtbl.get t 17 8);
+  Shadowtbl.set t 22 4 3;
+  checki "unaligned write still kills what it overlaps" 0
+    (Shadowtbl.get t 16 8)
 
 (* ---------- type inference ---------- *)
 
@@ -315,6 +375,14 @@ let () =
           Alcotest.test_case "indirect jump" `Quick indirect_jump;
           Alcotest.test_case "bounds checking" `Quick out_of_bounds_memory;
           Alcotest.test_case "step budget" `Quick step_budget;
+        ] );
+      ( "shadowtbl",
+        [
+          Alcotest.test_case "exact hit" `Quick shadowtbl_hit;
+          Alcotest.test_case "overlap kills" `Quick shadowtbl_overlap_kills;
+          Alcotest.test_case "size mismatch misses" `Quick
+            shadowtbl_size_mismatch;
+          Alcotest.test_case "unaligned never hits" `Quick shadowtbl_unaligned;
         ] );
       ( "typeinfer",
         [
