@@ -562,36 +562,8 @@ let suite_cmd =
                 (Fleet.Store.status_to_string p.Fleet.pr_last.Fleet.o_status)
                 p.Fleet.pr_last.Fleet.o_name p.Fleet.pr_last.Fleet.o_wall_s)
       in
-      (* benchmark/CI hooks, env-gated so the flag surface stays stable:
-         FPGRIND_SUITE_PASSES=N re-runs the same spec list N times in
-         this one process (pass p > 1 writes to <json>.passP), which is
-         how ci.sh proves the second pass is served by the compile
-         cache; FPGRIND_COMPILE_STATS=1 prints one JSON line per pass
-         with the process-wide compile counters for jq. *)
-      let passes =
-        match Sys.getenv_opt "FPGRIND_SUITE_PASSES" with
-        | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 1)
-        | None -> 1
-      in
-      let compile_stats = Sys.getenv_opt "FPGRIND_COMPILE_STATS" = Some "1" in
-      let last = ref [] in
-      for p = 1 to passes do
-        let outcomes = Fleet.run ~jobs ?timeout ?cache ?on_progress specs in
-        (match json_path with
-        | Some path ->
-            let path =
-              if p = 1 then path else path ^ ".pass" ^ string_of_int p
-            in
-            Fleet.Store.save path outcomes
-        | None -> ());
-        if compile_stats then
-          Printf.eprintf "{\"pass\":%d,\"blocks_compiled\":%d,\"cache_hits\":%d}\n%!"
-            p
-            (Vex.Compile.blocks_compiled_total ())
-            (Vex.Compile.cache_hits_total ());
-        last := outcomes
-      done;
-      let outcomes = !last in
+      let outcomes = Fleet.run ~jobs ?timeout ?cache ?on_progress specs in
+      Option.iter (fun path -> Fleet.Store.save path outcomes) json_path;
       print_string (Fleet.Store.summary_table outcomes);
       let bad =
         List.exists
@@ -1319,8 +1291,11 @@ let serve_cmd =
       value & opt (some string) None
       & info [ "store" ] ~docv:"FILE"
           ~doc:
-            "JSONL results store: warm the result cache from $(docv) at \
-             startup and flush all outcomes to it on shutdown.")
+            "JSONL results store: each fresh, keyed, successful result is \
+             appended to $(docv) as it completes, so a killed server keeps \
+             every finished result, and results already in $(docv) (from \
+             earlier runs or sibling shards) answer repeated requests from \
+             cache.")
   in
   let findings_arg =
     Arg.(
@@ -1343,9 +1318,8 @@ let serve_cmd =
             "Pre-fork $(docv) worker processes sharing one listening \
              socket. Each shard is a full server (own pool, cache, \
              metrics); a crashed or OOM-killed shard is respawned by the \
-             parent and results are shared through an advisory-locked \
-             JSONL cache (the --store file). 0 runs the classic \
-             single-process server.")
+             parent and results are shared through the --store file. 0 \
+             runs the classic single-process server.")
   in
   let keep_alive_arg =
     Arg.(
@@ -1393,31 +1367,19 @@ let serve_cmd =
           idle_timeout;
           rate_limit;
           rate_burst;
-          shared_cache_path = None;
           shard_status_path = None;
           listen_fd = None;
         }
       in
       if shards > 0 then begin
-        (* Shard mode: workers publish every fresh result to the shared
-           cache file incrementally, which *is* the durable store —
-           per-worker truncate-and-save flushes would clobber each other,
-           so the workers run with store_path = None. *)
         let status_path =
           match store_path with
           | Some p -> p ^ ".status.json"
           | None -> Filename.temp_file "fpgrind-shard-status" ".json"
         in
-        let worker_cfg =
-          {
-            cfg with
-            Serve.Server.store_path = None;
-            shared_cache_path = store_path;
-          }
-        in
         let shard_cfg =
           {
-            (Shard.default_config ~serve:worker_cfg ~status_path) with
+            (Shard.default_config ~serve:cfg ~status_path) with
             Shard.sh_shards = shards;
           }
         in
@@ -1432,7 +1394,7 @@ let serve_cmd =
       else begin
         let srv = Serve.Server.create cfg in
         (* graceful shutdown: stop accepting, drain in-flight and queued
-           jobs, flush the store, then exit 0 *)
+           jobs, then exit 0 *)
         let on_signal _ = Serve.Server.stop srv in
         Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
         Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);

@@ -57,37 +57,26 @@ let of_line (line : string) : finding option =
   | j -> Some (of_json j)
   | exception Json.Parse_error _ -> None
 
-(* One finding is one write+flush: the feed is live for `GET /findings`
+(* One call is one Durable append: the feed is live for `GET /findings`
    while the campaign runs, and a crash can at worst tear the final
-   line, which the lenient reader (and Store.load_lenient's discipline)
-   skips. *)
+   record, which readers skip and the next append truncates. *)
 let append ~(path : string) (fs : finding list) : unit =
-  if fs <> [] then begin
-    let oc =
-      open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path
-    in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        List.iter
-          (fun f ->
-            output_string oc (to_line f);
-            output_char oc '\n')
-          fs;
-        flush oc)
-  end
+  Durable.append path (List.map to_line fs)
 
 let load (path : string) : finding list =
   if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec go acc =
-          match input_line ic with
-          | line -> go (match of_line line with Some f -> f :: acc | None -> acc)
-          | exception End_of_file -> List.rev acc
-        in
-        go [])
+  else fst (Durable.read path (fun l -> of_json (Json.of_string l)))
+
+(* Cut the feed back to the findings of stream indices below [next],
+   kept verbatim. A campaign killed between checkpoints resumes from the
+   last one, and its feed may run ahead of it, torn tail included; the
+   resumed run appends those findings again. *)
+let truncate ~(path : string) ~(next : int) : unit =
+  if Sys.file_exists path then begin
+    let lines, torn =
+      Durable.read path (fun l -> (Json.get_int "index" (Json.of_string l), l))
+    in
+    let keep = List.filter (fun (i, _) -> i < next) lines in
+    if torn > 0 || List.length keep < List.length lines then
+      Durable.replace path (List.map snd keep)
   end

@@ -18,8 +18,9 @@
    Signals: the caller passes [should_stop]; the loop polls it between
    stream indices, finishes the item in flight, appends its findings,
    checkpoints, and returns [Interrupted]. Nothing is lost and nothing
-   is half-written (checkpoints are atomic, findings are line-buffered
-   appends). *)
+   is half-written (checkpoints are atomic, findings are Durable
+   appends). A SIGKILL instead loses the work since the last checkpoint,
+   which the resumed run redoes. *)
 
 module Oracle = Fuzz.Oracle
 module Fcampaign = Fuzz.Campaign
@@ -224,7 +225,9 @@ exception Resume_mismatch of string
 
 (* Load-or-create the state for this config. A state file from a
    different config (or a different seed) must not be silently
-   continued — the replayed suffix would not match. *)
+   continued — the replayed suffix would not match. On resume the feed
+   is cut back to the checkpoint, so the replayed suffix is not
+   appended twice. *)
 let initial_state (c : config) : State.t =
   let fp = fingerprint c in
   if Sys.file_exists c.cfg_state_path then
@@ -238,7 +241,12 @@ let initial_state (c : config) : State.t =
                   "state file %s was written by a different campaign config \
                    (fingerprint %S, expected %S)"
                   c.cfg_state_path st.State.s_fingerprint fp))
-        else st
+        else begin
+          (try Findings.truncate ~path:c.cfg_findings_path ~next:st.State.s_next
+           with Json.Parse_error msg ->
+             raise (Resume_mismatch ("corrupt findings feed: " ^ msg)));
+          st
+        end
   else
     State.fresh ~seed:c.cfg_seed ~iters:c.cfg_iters
       ~soundness_every:c.cfg_soundness_every ~fingerprint:fp

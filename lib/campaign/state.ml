@@ -7,8 +7,9 @@
    The fingerprint pins everything else a finding depends on; resuming
    under a different config is refused rather than silently diverging.
 
-   Writes are atomic (temp file + rename in the same directory), so a
-   SIGKILL mid-checkpoint leaves the previous checkpoint intact. *)
+   Writes are a Durable.replace (temp file + rename in the same
+   directory), so a SIGKILL mid-checkpoint leaves the previous checkpoint
+   intact. *)
 
 type t = {
   s_seed : int;
@@ -85,28 +86,12 @@ let of_json (j : Json.t) : t =
   }
 
 let save ~(path : string) (t : t) : unit =
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir "campaign-state" ".tmp" in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc (Json.to_string (to_json t));
-     output_char oc '\n';
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
+  Durable.replace path [ Json.to_string (to_json t) ]
 
 let load ~(path : string) : (t, string) result =
   if not (Sys.file_exists path) then Error "no such state file"
   else
-    let ic = open_in_bin path in
-    let src =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Json.of_string (String.trim src) with
-    | j -> Ok (of_json j)
+    match Durable.read path (fun l -> of_json (Json.of_string l)) with
+    | [ st ], 0 -> Ok st
+    | _ -> Error "corrupt state file: expected one record"
     | exception Json.Parse_error msg -> Error ("corrupt state file: " ^ msg)

@@ -150,78 +150,39 @@ let outcome_of_json (v : Json.t) : Engine.outcome =
 
 (* ---------- files ---------- *)
 
+(* The file protocol, its torn-record policy and locking live in
+   Durable; a store is a Durable log of [outcome_to_json] lines. *)
+
 let save (path : string) (outcomes : Engine.outcome list) : unit =
-  let oc = open_out path in
-  List.iter
-    (fun o ->
-      output_string oc (Json.to_string (outcome_to_json o));
-      output_char oc '\n')
-    outcomes;
-  close_out oc
+  Durable.replace path
+    (List.map (fun o -> Json.to_string (outcome_to_json o)) outcomes)
 
-(* A writer killed mid-record (SIGKILL, power loss) leaves a truncated
-   final line. Loading skips such a *trailing* malformed line with a
-   warning and a process-wide counter instead of raising — losing the
-   torn tail is exactly what the cache semantics want — while corruption
-   anywhere else still raises, since that means more than a torn tail. *)
-let corrupt_tail_counter = Atomic.make 0
-let corrupt_tail_total () = Atomic.get corrupt_tail_counter
+let corrupt_tail_total = Durable.torn_total
 
-(* Raises [Json.Parse_error] or [Failure] with the offending line number
-   on a malformed store (except for a trailing truncated line, which is
-   skipped). Returns the parsed outcomes and how many trailing lines were
-   skipped (0 or 1). *)
+(* Raises [Json.Parse_error] with the offending line number on a
+   malformed store, except for a torn trailing record, which is skipped.
+   Returns the parsed outcomes and how many records were skipped (0 or
+   1). *)
 let load_lenient (path : string) : Engine.outcome list * int =
-  let ic = open_in path in
-  let lines =
-    let rec go acc =
-      match input_line ic with
-      | exception End_of_file -> List.rev acc
-      | line -> go (line :: acc)
-    in
-    let ls = go [] in
-    close_in ic;
-    Array.of_list ls
-  in
-  let last_nonempty = ref (-1) in
-  Array.iteri (fun i l -> if String.trim l <> "" then last_nonempty := i) lines;
-  let skipped = ref 0 in
-  let acc = ref [] in
-  Array.iteri
-    (fun i line ->
-      if String.trim line <> "" then
-        match outcome_of_json (Json.of_string line) with
-        | o -> acc := o :: !acc
-        | exception (Json.Parse_error msg | Failure msg) ->
-            if i = !last_nonempty then begin
-              Printf.eprintf
-                "warning: %s:%d: skipping truncated trailing record (%s)\n%!"
-                path (i + 1) msg;
-              Atomic.incr corrupt_tail_counter;
-              incr skipped
-            end
-            else
-              raise
-                (Json.Parse_error (Printf.sprintf "%s:%d: %s" path (i + 1) msg)))
-    lines;
-  (List.rev !acc, !skipped)
+  Durable.read path (fun line -> outcome_of_json (Json.of_string line))
 
 let load (path : string) : Engine.outcome list = fst (load_lenient path)
 
-(* A cache over a previous store: only successful results with a
-   nonempty key are reusable. Missing file = empty cache. *)
+(* Only successful results with a nonempty key are reusable. *)
+let reusable (o : Engine.outcome) : bool =
+  match o.Engine.o_status with
+  | Engine.Done | Engine.Cached -> o.Engine.o_key <> ""
+  | Engine.Failed _ | Engine.Timed_out -> false
+
+(* A cache over a previous store. Missing file = empty cache. *)
 let cache_of_file (path : string) : string -> Engine.outcome option =
   if not (Sys.file_exists path) then fun _ -> None
   else begin
     let tbl = Hashtbl.create 97 in
     List.iter
-      (fun (o : Engine.outcome) ->
-        match o.Engine.o_status with
-        | (Engine.Done | Engine.Cached) when o.Engine.o_key <> "" ->
-            Hashtbl.replace tbl o.Engine.o_key o
-        | _ -> ())
+      (fun o -> if reusable o then Hashtbl.replace tbl o.Engine.o_key o)
       (load path);
-    fun key -> Hashtbl.find_opt tbl key
+    Hashtbl.find_opt tbl
   end
 
 (* ---------- the human summary ---------- *)

@@ -2,12 +2,13 @@
 
    [Serve.Server] is the HTTP/1.1 service: keep-alive connections with
    pipelined reads, bounded job queue with 503 backpressure, Fleet.Pool
-   dispatch, content-hash result cache, JSONL store flush, graceful
-   drain. [Serve.Http] is the dependency-free request parser / response
+   dispatch, content-hash result cache over an appended JSONL store,
+   graceful drain. [Serve.Http] is the dependency-free request parser / response
    writer and per-connection session loop (testable without sockets);
    [Serve.Router] dispatches and types query parameters; [Serve.Metrics]
    is the Prometheus-format counter/gauge/histogram layer;
-   [Serve.Cachefile] is the advisory-locked cross-shard result cache;
+   [Serve.Cachefile] is the result cache, shared across shards through
+   the store;
    [Serve.Ratelimit] the per-client token buckets; [Serve.Client] the
    small blocking client (one-shot and keep-alive) behind `fpgrind
    client`, `fpgrind loadgen`, and the tests. *)

@@ -8,14 +8,14 @@
    Backpressure is explicit: when the queue is full, POST /analyze and
    POST /fuzz answer 503 with a Retry-After hint instead of queueing
    unboundedly. Repeated submissions of the same source are served from
-   the Fleet content-hash cache without re-analysis, and the cache can be
-   warmed from / flushed to a JSONL store (the same format `fpgrind
-   suite --json` writes).
+   the Fleet content-hash cache without re-analysis; with a store, the
+   cache is a Cachefile over it (the format `fpgrind suite --json`
+   writes), appended to as each fresh result completes.
 
    Graceful shutdown ([stop], or SIGINT/SIGTERM in the CLI): the accept
    loop exits and closes the listening socket, open connections run to
-   completion — which drains their queued jobs — the pool is drained and
-   joined, and the store is flushed. *)
+   completion — which drains their queued jobs — and the pool is drained
+   and joined. The store needs no flush: every result is already in it. *)
 
 type config = {
   port : int;  (* 0 picks an ephemeral port; see [port] for the result *)
@@ -24,14 +24,13 @@ type config = {
   queue : int;  (* bounded queue depth; overflow answers 503 *)
   timeout : float option;  (* default per-request analysis deadline *)
   max_body : int;
-  store_path : string option;  (* JSONL cache warm-start + shutdown flush *)
+  store_path : string option;  (* JSONL result store shared by shards *)
   findings_path : string option;  (* campaign findings JSONL feed *)
   quiet : bool;
   keep_alive_requests : int;  (* requests served per connection before close *)
   idle_timeout : float;  (* seconds a keep-alive connection may sit quiet *)
   rate_limit : float option;  (* per-client POSTs/second; None = unlimited *)
   rate_burst : int;  (* token-bucket capacity *)
-  shared_cache_path : string option;  (* cross-shard JSONL result cache *)
   shard_status_path : string option;  (* shard parent's status file *)
   listen_fd : Unix.file_descr option;
       (* pre-bound listening socket (shard workers inherit the parent's);
@@ -53,7 +52,6 @@ let default_config =
     idle_timeout = 5.0;
     rate_limit = None;
     rate_burst = 16;
-    shared_cache_path = None;
     shard_status_path = None;
     listen_fd = None;
   }
@@ -87,14 +85,11 @@ type t = {
   m_active_conns : Metrics.gauge;  (* connections currently open *)
   m_ratelimited : Metrics.counter;  (* token-bucket 503s *)
   m_shard_restarts : Metrics.gauge;  (* respawns, via the parent's status file *)
-  shared : Cachefile.t option;  (* cross-shard result cache *)
+  results : Cachefile.t;  (* content-hash result cache, over the store *)
   limiter : Ratelimit.t option;
   mutable torn_seen : int;  (* last Store.corrupt_tail_total observed *)
   mutable compiled_seen : int;  (* last Compile.blocks_compiled_total *)
   mutable compile_hits_seen : int;  (* last Compile.cache_hits_total *)
-  cache_mu : Mutex.t;
-  cache : (string, Fleet.outcome) Hashtbl.t;
-  mutable persisted : Fleet.outcome list;  (* newest first *)
   listen_fd : Unix.file_descr;
   bound_port : int;
   stop_flag : bool Atomic.t;
@@ -222,7 +217,7 @@ let create (cfg : config) : t =
   in
   let m_store_corrupt =
     Metrics.gauge reg
-      ~help:"Truncated trailing JSONL store records skipped since start."
+      ~help:"Torn or undecodable JSONL store records dropped since start."
       "fpgrind_store_corrupt_lines_total"
   in
   let m_store_torn =
@@ -279,21 +274,6 @@ let create (cfg : config) : t =
          (0 when not running under the shard layer)."
       "fpgrind_shard_restarts_total"
   in
-  (* warm the cache from the store, tolerating a torn tail *)
-  let cache = Hashtbl.create 97 in
-  let persisted = ref [] in
-  (match cfg.store_path with
-  | Some path when Sys.file_exists path ->
-      let outcomes, _skipped = Fleet.Store.load_lenient path in
-      List.iter
-        (fun (o : Fleet.outcome) ->
-          persisted := o :: !persisted;
-          match o.Fleet.o_status with
-          | (Fleet.Done | Fleet.Cached) when o.Fleet.o_key <> "" ->
-              Hashtbl.replace cache o.Fleet.o_key o
-          | _ -> ())
-        outcomes
-  | _ -> ());
   let listen_fd =
     match cfg.listen_fd with
     | Some fd -> fd
@@ -349,7 +329,10 @@ let create (cfg : config) : t =
       m_active_conns;
       m_ratelimited;
       m_shard_restarts;
-      shared = Option.map Cachefile.create cfg.shared_cache_path;
+      results =
+        (match cfg.store_path with
+        | Some path -> Cachefile.create path
+        | None -> Cachefile.in_memory ());
       limiter =
         Option.map
           (fun rate -> Ratelimit.create ~rate ~burst:cfg.rate_burst)
@@ -357,9 +340,6 @@ let create (cfg : config) : t =
       torn_seen = 0;
       compiled_seen = 0;
       compile_hits_seen = 0;
-      cache_mu = Mutex.create ();
-      cache;
-      persisted = !persisted;
       listen_fd;
       bound_port;
       stop_flag = Atomic.make false;
@@ -606,38 +586,6 @@ let fuzz_spec (rq : Http.request) ~timeout : Fleet.spec =
 
 (* ---------- handlers ---------- *)
 
-let record t (o : Fleet.outcome) =
-  Mutex.lock t.cache_mu;
-  t.persisted <- o :: t.persisted;
-  (match o.Fleet.o_status with
-  | (Fleet.Done | Fleet.Cached) when o.Fleet.o_key <> "" ->
-      Hashtbl.replace t.cache o.Fleet.o_key o
-  | _ -> ());
-  Mutex.unlock t.cache_mu;
-  match t.shared with
-  | Some shared -> Cachefile.publish shared o
-  | None -> ()
-
-let cached t key =
-  if key = "" then None
-  else begin
-    Mutex.lock t.cache_mu;
-    let o = Hashtbl.find_opt t.cache key in
-    Mutex.unlock t.cache_mu;
-    match (o, t.shared) with
-    | (Some _ as hit), _ -> hit
-    | None, None -> None
-    | None, Some shared -> (
-        (* a sibling shard may have computed it; tail the shared file *)
-        match Cachefile.lookup shared key with
-        | Some o ->
-            Mutex.lock t.cache_mu;
-            Hashtbl.replace t.cache key o;
-            Mutex.unlock t.cache_mu;
-            Some o
-        | None -> None)
-  end
-
 let status_of_outcome (o : Fleet.outcome) =
   match o.Fleet.o_status with
   | Fleet.Done | Fleet.Cached -> 200
@@ -661,7 +609,8 @@ let run_spec t rq (sp : Fleet.spec) ~cacheable : Http.response =
     | Some s -> Some s
     | None -> t.cfg.timeout
   in
-  match cached t (if cacheable then sp.Fleet.sp_key else "") with
+  let key = if cacheable then sp.Fleet.sp_key else "" in
+  match Cachefile.lookup t.results key with
   | Some prev ->
       Metrics.inc t.m_cache_hits [];
       outcome_response
@@ -680,7 +629,7 @@ let run_spec t rq (sp : Fleet.spec) ~cacheable : Http.response =
       | None -> overloaded_response t
       | Some ticket ->
           let o = Fleet.Pool.await t.pool ticket in
-          record t o;
+          Cachefile.publish t.results o;
           outcome_response o)
 
 let handle_analyze t rq = run_spec t rq (analyze_spec rq) ~cacheable:true
@@ -702,22 +651,21 @@ let handle_fuzz t rq =
 
 let handle_healthz _t _rq = Http.text_response 200 "ok\n"
 
-(* The campaign findings feed: the raw append-only JSONL file, served
-   verbatim so a consumer sees exactly what the campaign wrote (the
-   byte-identity contract extends to the wire). An unconfigured server
-   404s; a configured one whose campaign has found nothing yet serves
-   an empty feed. *)
-let read_whole_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
+(* The campaign findings feed: the complete lines of the append-only
+   JSONL file, served verbatim so a consumer sees exactly what the
+   campaign wrote (the byte-identity contract extends to the wire),
+   minus a record the campaign may be appending right now. An
+   unconfigured server 404s; a configured one whose campaign has found
+   nothing yet serves an empty feed. *)
 let findings_feed t : string option =
-  match t.cfg.findings_path with
-  | None -> None
-  | Some path ->
-      Some (if Sys.file_exists path then read_whole_file path else "")
+  Option.map
+    (fun path ->
+      let buf = Buffer.create 4096 in
+      Durable.poll (Durable.tail path) (fun line ->
+          Buffer.add_string buf line;
+          Buffer.add_char buf '\n');
+      Buffer.contents buf)
+    t.cfg.findings_path
 
 let handle_findings t _rq =
   match findings_feed t with
@@ -741,25 +689,19 @@ let update_campaign_metrics t =
       Metrics.set t.m_campaign_feed_bytes (float_of_int (String.length body))
 
 (* The shard parent's view of the world, for this worker's /metrics.
-   Written atomically (temp + rename) by Shard.run; absent or torn files
-   read as 0 restarts. *)
+   Written by Shard.run with Durable.replace; an absent or unreadable
+   file reads as 0 restarts. *)
 let shard_restarts t : int =
   match t.cfg.shard_status_path with
   | None -> 0
   | Some path -> (
-      if not (Sys.file_exists path) then 0
-      else
-        match
-          let ic = open_in_bin path in
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        with
-        | src -> (
-            match Fleet.Json.of_string (String.trim src) with
-            | j -> Fleet.Json.get_int "restarts" j
-            | exception _ -> 0)
-        | exception Sys_error _ -> 0)
+      match
+        Durable.read path (fun l ->
+            Fleet.Json.get_int "restarts" (Fleet.Json.of_string l))
+      with
+      | [ n ], _ -> n
+      | _ -> 0
+      | exception (Sys_error _ | Fleet.Json.Parse_error _) -> 0)
 
 let handle_metrics t _rq =
   Metrics.set t.m_queue_depth (float_of_int (Fleet.Pool.queue_depth t.pool));
@@ -897,19 +839,10 @@ let stop t =
   (* nudge the accept loop out of select *)
   try ignore (Unix.write_substring t.wake_w "x" 0 1) with Unix.Unix_error _ -> ()
 
-let flush_store t =
-  match t.cfg.store_path with
-  | None -> ()
-  | Some path ->
-      Mutex.lock t.cache_mu;
-      let outcomes = List.rev t.persisted in
-      Mutex.unlock t.cache_mu;
-      Fleet.Store.save path outcomes
-
 (* Serve until [stop] (or a signal handler calling it) fires, then shut
    down gracefully: close the listener, let open connections finish
-   (their queued jobs run to completion), drain the pool, flush the
-   store. Returns when fully drained. *)
+   (their queued jobs run to completion, their results reach the store),
+   drain the pool. Returns when fully drained. *)
 let run t =
   let rec accept_loop () =
     if not (Atomic.get t.stop_flag) then begin
@@ -949,7 +882,6 @@ let run t =
   done;
   Mutex.unlock t.conn_mu;
   Fleet.Pool.drain t.pool;
-  flush_store t;
   (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
   (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
   Fleet.clear_observer ();

@@ -15,11 +15,11 @@
    file (each worker's /metrics reads it as fpgrind_shard_restarts_total)
    and forks a replacement against the same socket.
 
-   Shards share results through Serve.Cachefile — an advisory-locked
-   append-only JSONL file each worker publishes fresh outcomes to and
-   tails on cache misses — so a result computed on shard 1 is a cache
-   hit on shard 3, and the file doubles as the durable store (`fpgrind
-   validate` reads it directly; nothing needs flushing on a crash).
+   Shards share results through the store, a Durable log each worker's
+   Serve.Cachefile appends fresh outcomes to and tails on cache misses,
+   so a result computed on shard 1 is a cache hit on shard 3 (`fpgrind
+   validate` reads the file directly; nothing needs flushing on a
+   crash).
 
    Shutdown (SIGTERM/SIGINT to the parent) is a rolling drain: workers
    are SIGTERMed and waited one at a time, each finishing its open
@@ -46,20 +46,13 @@ let default_config ~serve ~status_path =
 
 (* ---------- parent status file ---------- *)
 
-(* Atomic temp+rename, same discipline as campaign checkpoints: a
-   worker scraping mid-update sees the old status, never a torn one. *)
+(* Atomic replace, same as campaign checkpoints: a worker scraping
+   mid-update sees the old status, never a torn one. *)
 let write_status ~path ~shards ~restarts =
-  let dir = Filename.dirname path in
-  match Filename.temp_file ~temp_dir:dir "shard-status" ".tmp" with
-  | exception Sys_error _ -> ()
-  | tmp -> (
-      (try
-         let oc = open_out_bin tmp in
-         Printf.fprintf oc "{\"shards\": %d, \"restarts\": %d}\n" shards
-           restarts;
-         close_out oc
-       with Sys_error _ -> ());
-      try Sys.rename tmp path with Sys_error _ -> ())
+  try
+    Durable.replace path
+      [ Printf.sprintf "{\"shards\": %d, \"restarts\": %d}" shards restarts ]
+  with Sys_error _ -> ()
 
 (* ---------- the listening socket ---------- *)
 
@@ -206,7 +199,7 @@ let run ?(on_listen = fun (_ : int) -> ()) (c : config) : int =
     pids;
   (try Unix.close listen_fd with Unix.Unix_error _ -> ());
   (* one line, --quiet or not: this is the operational signal that the
-     rolling drain finished and the store (the shared cache file, which
-     workers append to synchronously) is on disk *)
+     rolling drain finished and the store (which workers append to as
+     results complete) is on disk *)
   Printf.eprintf "fpgrind shard: drained, store flushed, exiting\n%!";
   !exit_code

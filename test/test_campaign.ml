@@ -259,6 +259,46 @@ let resume_byte_identity () =
   checkb "final states identical" true (s1 = s2);
   List.iter Sys.remove [ st1; f1; st2; f2 ]
 
+(* A SIGKILL between checkpoints leaves the feed ahead of the state file,
+   possibly with a torn last record. Resuming must cut the feed back to
+   the checkpoint, not append the replayed findings a second time. *)
+let kill_resume_byte_identity () =
+  let st1 = tmp_path ".json" and f1 = tmp_path ".jsonl" in
+  let cfg1 = campaign_config ~state_path:st1 ~findings_path:f1 in
+  (match Campaign.Runner.run cfg1 with
+  | Campaign.Runner.Completed _ -> ()
+  | Campaign.Runner.Interrupted _ -> Alcotest.fail "reference run interrupted");
+  let reference = read_file f1 in
+  let indices =
+    List.map (fun f -> f.Campaign.Findings.f_index) (Campaign.Findings.load f1)
+  in
+  (* checkpoint after the first finding, so findings lie on both sides *)
+  let next = List.hd indices + 1 in
+  checkb "findings after the checkpoint" true
+    (List.exists (fun i -> i >= next) indices);
+  let st2 = tmp_path ".json" and f2 = tmp_path ".jsonl" in
+  let cfg2 = campaign_config ~state_path:st2 ~findings_path:f2 in
+  let calls = ref 0 in
+  let should_stop () =
+    incr calls;
+    !calls > next
+  in
+  (match Campaign.Runner.run ~should_stop cfg2 with
+  | Campaign.Runner.Interrupted st ->
+      checki "checkpointed" next st.Campaign.State.s_next
+  | Campaign.Runner.Completed _ -> Alcotest.fail "expected an interrupt");
+  (* the killed run got further than its checkpoint, and died mid-append *)
+  let oc = open_out_bin f2 in
+  output_string oc reference;
+  output_string oc "{\"index\": 23, \"seed\": 4";
+  close_out oc;
+  (match Campaign.Runner.run cfg2 with
+  | Campaign.Runner.Completed _ -> ()
+  | Campaign.Runner.Interrupted _ -> Alcotest.fail "resume interrupted");
+  checks "resumed feed byte-identical to uninterrupted run" reference
+    (read_file f2);
+  List.iter Sys.remove [ st1; f1; st2; f2 ]
+
 (* ---------- the regime slice ---------- *)
 
 (* Every third index runs regime inference over the straight-line suite;
@@ -427,6 +467,8 @@ let () =
         [
           Alcotest.test_case "byte-identical findings" `Quick
             resume_byte_identity;
+          Alcotest.test_case "byte-identical after a kill" `Quick
+            kill_resume_byte_identity;
         ] );
       ( "regimes",
         [

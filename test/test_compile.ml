@@ -143,6 +143,41 @@ let fuzz_identity () =
         (List.length l) (Array.length want)
         (String.concat "\n" l)
 
+(* ---------- the compile cache across suite passes ---------- *)
+
+(* Two passes over the same specs in one process: the second must decode
+   no new superblock, since every program is served from the
+   compiled-block cache, and must reproduce the first pass's records. *)
+let second_pass_cached () =
+  let cfg = { Core.Config.default with Core.Config.precision = 128 } in
+  let names =
+    [
+      "intro-example"; "nmse-3-1"; "verhulst"; "midpoint-naive";
+      "logistic-map"; "newton-sqrt";
+    ]
+  in
+  let specs =
+    List.map (Fleet.bench_spec ~cfg)
+      (Fpcore.Suite.enumerate ~iterations:4 ~seed:1 ~names ())
+  in
+  let modulo_wall o =
+    match Fleet.Store.outcome_to_json o with
+    | Fleet.Json.Obj kvs ->
+        Fleet.Json.to_string (Fleet.Json.Obj (List.remove_assoc "wall_s" kvs))
+    | j -> Fleet.Json.to_string j
+  in
+  let pass () =
+    let records = List.map modulo_wall (Fleet.run ~jobs:2 specs) in
+    ( records,
+      Vex.Compile.blocks_compiled_total (),
+      Vex.Compile.cache_hits_total () )
+  in
+  let first, compiled1, hits1 = pass () in
+  let second, compiled2, hits2 = pass () in
+  Alcotest.(check int) "no block decoded twice" compiled1 compiled2;
+  Alcotest.(check bool) "second pass hits the cache" true (hits2 > hits1);
+  Alcotest.(check (list string)) "records equal modulo wall_s" first second
+
 let () =
   Alcotest.run "compile"
     [
@@ -157,5 +192,10 @@ let () =
         [
           Alcotest.test_case "500 seed-42 programs, three engines" `Quick
             fuzz_identity;
+        ] );
+      ( "cache",
+        [
+          Alcotest.test_case "second suite pass served from the cache" `Quick
+            second_pass_cached;
         ] );
     ]

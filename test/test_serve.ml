@@ -615,6 +615,73 @@ let test_validate_exit_codes () =
       close_out oc;
       Alcotest.(check int) "truncated tail" 1 (run_cli ("validate " ^ path)))
 
+(* A writer killed mid-append leaves a torn tail; the next append must
+   cut it away rather than glue its own record onto it, so a later
+   healthy record survives and the store stays loadable everywhere. *)
+let test_store_torn_then_publish () =
+  let path = Filename.temp_file "serve_torn" ".jsonl" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let a = Serve.Cachefile.create path and b = Serve.Cachefile.create path in
+      Serve.Cachefile.publish a (outcome ~key:"k1" "one");
+      let oc = open_out_gen [ Open_append ] 0o644 path in
+      output_string oc "{\"name\": \"torn";
+      close_out oc;
+      Serve.Cachefile.publish b (outcome ~key:"k2" "two");
+      let outcomes, skipped = Fleet.Store.load_lenient path in
+      Alcotest.(check (list string))
+        "both records kept" [ "one"; "two" ]
+        (List.map (fun (o : Fleet.outcome) -> o.Fleet.o_name) outcomes);
+      Alcotest.(check int) "nothing skipped" 0 skipped;
+      Alcotest.(check int)
+        "validate accepts it" 0
+        (run_cli ("validate " ^ path));
+      let srv =
+        Server.create
+          {
+            Server.default_config with
+            port = 0;
+            store_path = Some path;
+            quiet = true;
+          }
+      in
+      Server.stop srv;
+      Server.run srv)
+
+(* a single-process server appends each result as it completes: a
+   crash right after a response loses nothing *)
+let test_server_store_survives_crash () =
+  let store = Filename.temp_file "serve_crash" ".jsonl" in
+  Sys.remove store;
+  let srv, th, port =
+    start_server
+      {
+        Server.default_config with
+        port = 0;
+        store_path = Some store;
+        quiet = true;
+      }
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop srv;
+      Thread.join th;
+      if Sys.file_exists store then Sys.remove store)
+    (fun () ->
+      let r =
+        post port "/analyze?precision=64" (slow_minic ~salt:7 ~iters:10)
+      in
+      Alcotest.(check int) "analyzed" 200 r.Client.c_status;
+      let key = Fleet.Json.get_str "key" (Fleet.Json.of_string r.Client.c_body) in
+      match Fleet.Store.load store with
+      | [ o ] ->
+          Alcotest.(check string) "the response's record is on disk" key
+            o.Fleet.o_key
+      | l ->
+          Alcotest.failf "store holds %d records, expected 1" (List.length l))
+
 (* /analyze?regimes=1 runs regime inference after the engine pass,
    annotates the record with the branch structure, keeps a separate
    cache entry from the plain analysis, and feeds the regime metrics *)
@@ -697,6 +764,8 @@ let () =
             test_store_truncated_tail;
           Alcotest.test_case "mid-file corruption raises" `Quick
             test_store_midfile_corruption_still_raises;
+          Alcotest.test_case "torn tail cut before the next append" `Quick
+            test_store_torn_then_publish;
         ] );
       ( "pool",
         [ Alcotest.test_case "bounded queue" `Quick test_pool_backpressure ] );
@@ -710,6 +779,8 @@ let () =
           Alcotest.test_case "backpressure under load" `Quick
             test_server_backpressure;
           Alcotest.test_case "shutdown drains" `Quick test_server_shutdown_drains;
+          Alcotest.test_case "store survives a crash" `Quick
+            test_server_store_survives_crash;
           Alcotest.test_case "regime inference endpoint" `Quick
             test_server_regimes;
         ] );
