@@ -10,7 +10,9 @@
     Basic operations ([add], [sub], [mul], [div], [sqrt]) are correctly
     rounded to the requested precision. Transcendental functions live in
     {!Bigfloat_math} and are faithful to within a couple of ulps at the
-    requested precision (see DESIGN.md on the table-maker's dilemma). *)
+    requested precision, not correctly rounded (see DESIGN.md on the
+    table-maker's dilemma); [sin], [cos] and [tan] are bit-identical to
+    their reference series. *)
 
 type t =
   | Nan

@@ -148,6 +148,10 @@ let atanh2_series ~wp z =
   done;
   B.mul_2exp !acc 1
 
+(* [log] sums 2 atanh((x-1)/(x+1)) directly inside (0.70, 1.5). *)
+let near_one_lo = B.of_decimal_string ~prec:64 "0.70"
+let near_one_hi = B.of_decimal_string ~prec:64 "1.5"
+
 let log ~prec x =
   match x with
   | B.Nan -> B.Nan
@@ -160,10 +164,7 @@ let log ~prec x =
       else begin
         let wp = prec + guard in
         (* Near 1, avoid the e*ln2 split entirely (cancellation). *)
-        let near_one =
-          B.gt x (B.of_decimal_string ~prec:64 "0.70")
-          && B.lt x (B.of_decimal_string ~prec:64 "1.5")
-        in
+        let near_one = B.gt x near_one_lo && B.lt x near_one_hi in
         if near_one then begin
           (* When x = 1 + eps the leading term of 2 atanh((x-1)/(x+1)) has
              magnitude eps, so ask for enough working precision. *)
@@ -266,7 +267,9 @@ let exp2 ~prec x =
       let wp = prec + guard in
       exp ~prec (B.mul ~prec:wp x (ln2 ~prec:wp))
 
-(* sin(r) and cos(r) Taylor series for |r| <= pi/4 + small slack. *)
+(* sin(r) and cos(r) Taylor series for |r| <= pi/4 + small slack, term by
+   term at precision wp. These define the trig results: the fast kernel
+   below returns only what rounding these would return. *)
 let sin_series ~wp r =
   let r2 = B.mul ~prec:wp r r in
   let acc = ref r and term = ref r and k = ref 1 in
@@ -370,60 +373,204 @@ let trig_reduce ~wp x =
     else attempt guard 0
   end
 
-let sin ~prec x =
+(* ---------- sin, cos, tan: fast kernel over the reference series ----------
+
+   Both ways of evaluating share [trig_reduce]'s (q, r). The reference
+   rounds [sin_series]/[cos_series] at wp = prec + guard bits to prec.
+   The kernel sums the same Taylor series in fixed point by rectangular
+   splitting, in about 2 sqrt(n) full multiplies instead of n, with a
+   proven error bound eps_new; eps_old bounds the reference's error.
+   Every value within eps_new + eps_old of the kernel's result rounds
+   alike, or the kernel declines: round-to-nearest is monotone, so the
+   reference value, which lies in that interval, rounds the same way.
+   Declined cases run the reference. DESIGN.md decision 19 derives both
+   bounds. *)
+
+type trig = Sin | Cos | Tan
+
+(* The reference value before the final rounding. cos x = sin (x + pi/2)
+   moves the quadrant by one. *)
+let reference_reduced kind ~wp q r =
+  match kind with
+  | Sin | Cos ->
+      let q = if kind = Cos then (q + 1) land 3 else q in
+      let v = if q land 1 = 0 then sin_series ~wp r else cos_series ~wp r in
+      if q >= 2 then B.neg v else v
+  | Tan ->
+      let s = sin_series ~wp r and c = cos_series ~wp r in
+      if q land 1 = 0 then B.div ~prec:wp s c else B.neg (B.div ~prec:wp c s)
+
+(* Bits the kernel carries beyond wp: they make eps_new negligible next to
+   eps_old, and make the reference stop no later than the kernel does. *)
+let kernel_extra = 24
+
+(* Terms per block: a block costs one full multiply, the powers y^2..y^m
+   cost m - 1 more. *)
+let block = 10
+
+(* Over y = r^2, sin r / r = sum_k (-1)^k y^k / (2k+1)! and
+   cos r = sum_k (-1)^k y^k / (2k)!; term k is term k-1 times -y / d k. *)
+let divisor ~sin k = if sin then 2 * k * ((2 * k) + 1) else ((2 * k) - 1) * 2 * k
+
+(* y 2^w in [yw, yw + 1), and log2 of an upper bound on y. *)
+let square_fixed ~w (fr : B.fin) =
+  let e = (2 * fr.B.exp) + w in
+  let sq = N.mul fr.B.mant fr.B.mant in
+  let yw = if e >= 0 then N.shift_left sq e else N.shift_right sq (-e) in
+  let s = max 0 (N.bit_length yw - 53) in
+  (* yw + 1 <= (top + 1) 2^s, and top + 1 <= 2^53 is exact as a float *)
+  let top = N.to_float (N.shift_right yw s) in
+  (yw, Float.log2 (top +. 1.0) +. float_of_int (s - w) +. 1e-9)
+
+(* lg.(k) >= log2 (y^k / (d 1 ... d k)), given log2 y <= ly, for k up
+   to the least n with lg.(n) <= -(w+1): the sum keeps terms 0 .. n-1. *)
+let term_logs ~sin ~w ~ly =
+  let target = -.float_of_int (w + 1) -. 0.01 in
+  let rec go k lg acc =
+    if lg <= target then Array.of_list (List.rev (lg :: acc))
+    else
+      go (k + 1)
+        (lg +. ly -. Float.log2 (float_of_int (divisor ~sin (k + 1))))
+        (lg :: acc)
+  in
+  go 0 0.0 []
+
+(* pw.(i) = y^i 2^w, each rounded down from the one before. *)
+let powers ~w yw count =
+  let pw = Array.make (count + 1) (N.shift_left N.one w) in
+  for i = 1 to count do
+    pw.(i) <- (if i = 1 then yw else N.shift_right (N.mul pw.(i - 1) yw) w)
+  done;
+  pw
+
+(* The sum of terms 0 .. n-1 (n = length lg - 1), scaled by 2^w. Horner
+   over the nested form T_k = 1 - y T_(k+1) / d (k+1), T_n = 0, in blocks
+   of [block] terms. Within block j, t holds y^i T_(jm+i), so a step is
+   t <- y^i - t / d (jm+i+1): one scalar divide and one subtraction, which
+   never goes negative because t <= y^(i+1) <= y^i. The block above joins
+   by one multiply by y^m. T_(jm) reaches the sum scaled by term jm, so
+   block j works s_j bits coarser, with 2^(s_j) term_(jm) <= 2^-slack. *)
+let fixed_sum ~sin ~w ~lg pw =
+  let n = Array.length lg - 1 in
+  let top = (n - 1) / block in
+  let slack = 4 + N.bit_length (N.of_int (top + 1)) in
+  let acc = ref N.zero and acc_s = ref 0 in
+  for j = top downto 0 do
+    let s =
+      max 0 (int_of_float (Float.floor (-.lg.(j * block) -. 0.01)) - slack)
+    in
+    let hi = if j = top then n - 1 - (j * block) else block in
+    let t =
+      ref
+        (if j = top then N.shift_right pw.(hi) s
+         else N.shift_right (N.mul (N.shift_right pw.(block) s) !acc) (w - !acc_s))
+    in
+    for i = hi - 1 downto 0 do
+      let d = divisor ~sin ((j * block) + i + 1) in
+      t := N.sub (N.shift_right pw.(i) s) (fst (N.divmod_int !t d))
+    done;
+    acc := !t;
+    acc_s := s
+  done;
+  !acc
+
+let exact = max_int / 16
+let pow2 e = B.make ~neg:false ~mant:N.one ~exp:e
+
+(* eps_old for a reference result near v: the series' relative error is
+   below 2 (n + 4) 2^-wp, with n the kernel's term count (the reference
+   adds fewer terms); tan's quotient of two series triples it (k_old 4
+   rather than 2). *)
+let old_bound ~k_old ~wp ~n v =
+  pow2 (magnitude v - wp + k_old + N.bit_length (N.of_int (n + 4)))
+
+(* The kernel's value of [reference_reduced kind ~wp q r] rounded to prec,
+   or [None] when it cannot prove that rounding. Both bounds assume
+   |r| < 1. *)
+let fast kind ~prec ~wp q r =
+  match r with
+  | B.Fin fr when magnitude r <= 0 ->
+      let w = wp + kernel_extra in
+      let yw, ly = square_fixed ~w fr in
+      let q = if kind = Cos then (q + 1) land 3 else q in
+      let logs ~sin needed = if needed then term_logs ~sin ~w ~ly else [| 0.0 |] in
+      let lg_sin = logs ~sin:true (kind = Tan || q land 1 = 0)
+      and lg_cos = logs ~sin:false (kind = Tan || q land 1 = 1) in
+      let n = max (Array.length lg_sin) (Array.length lg_cos) - 1 in
+      if divisor ~sin:true n >= 1 lsl 31 then None
+      else begin
+        let pw = powers ~w yw (min block (n - 1)) in
+        let fixed m = B.make ~neg:false ~mant:m ~exp:(-w) in
+        let s () = B.mul ~prec:w r (fixed (fixed_sum ~sin:true ~w ~lg:lg_sin pw)) in
+        let c () = fixed (fixed_sum ~sin:false ~w ~lg:lg_cos pw) in
+        let v, k_old =
+          match kind with
+          | Sin | Cos ->
+              let v = if q land 1 = 0 then s () else c () in
+              ((if q >= 2 then B.neg v else v), 2)
+          | Tan ->
+              let s = s () and c = c () in
+              ( (if q land 1 = 0 then B.div ~prec:w s c
+                 else B.neg (B.div ~prec:w c s)),
+                4 )
+        in
+        (* eps_old + eps_new; the kernel's relative error is below 2^(6-w) *)
+        let eps =
+          B.add ~prec:exact
+            (old_bound ~k_old ~wp ~n v)
+            (pow2 (magnitude v + 7 - w))
+        in
+        let lo = B.round ~prec (B.sub ~prec:exact v eps) in
+        if B.equal lo (B.round ~prec (B.add ~prec:exact v eps)) then Some lo
+        else None
+      end
+  | _ -> None
+
+let fallbacks = Atomic.make 0
+
+let trig kind ~use_kernel ~prec x =
   match x with
   | B.Nan | B.Inf _ -> B.Nan
-  | B.Zero _ -> x
+  | B.Zero _ -> if kind = Cos then B.one else x
   | B.Fin _ -> begin
       let wp = prec + guard in
       match trig_reduce ~wp x with
-      | None -> B.of_float (Stdlib.sin (B.to_float x))
-      | Some (q, r) ->
-          let v =
-            match q with
-            | 0 -> sin_series ~wp r
-            | 1 -> cos_series ~wp r
-            | 2 -> B.neg (sin_series ~wp r)
-            | _ -> B.neg (cos_series ~wp r)
+      | None ->
+          let f =
+            match kind with Sin -> Stdlib.sin | Cos -> Stdlib.cos | Tan -> Stdlib.tan
           in
-          B.round ~prec v
+          B.of_float (f (B.to_float x))
+      | Some (q, r) -> begin
+          match if use_kernel then fast kind ~prec ~wp q r else None with
+          | Some v -> v
+          | None ->
+              if use_kernel then Atomic.incr fallbacks;
+              B.round ~prec (reference_reduced kind ~wp q r)
+        end
     end
 
-let cos ~prec x =
-  match x with
-  | B.Nan | B.Inf _ -> B.Nan
-  | B.Zero _ -> B.one
-  | B.Fin _ -> begin
-      let wp = prec + guard in
-      match trig_reduce ~wp x with
-      | None -> B.of_float (Stdlib.cos (B.to_float x))
-      | Some (q, r) ->
-          let v =
-            match q with
-            | 0 -> cos_series ~wp r
-            | 1 -> B.neg (sin_series ~wp r)
-            | 2 -> B.neg (cos_series ~wp r)
-            | _ -> sin_series ~wp r
-          in
-          B.round ~prec v
-    end
+let sin = trig Sin ~use_kernel:true
+let cos = trig Cos ~use_kernel:true
+let tan = trig Tan ~use_kernel:true
 
-let tan ~prec x =
-  match x with
-  | B.Nan | B.Inf _ -> B.Nan
-  | B.Zero _ -> x
-  | B.Fin _ -> begin
-      let wp = prec + guard in
-      match trig_reduce ~wp x with
-      | None -> B.of_float (Stdlib.tan (B.to_float x))
-      | Some (q, r) ->
-          let s = sin_series ~wp r and c = cos_series ~wp r in
-          let v =
-            if q = 0 || q = 2 then B.div ~prec:wp s c
-            else B.neg (B.div ~prec:wp c s)
-          in
-          B.round ~prec v
-    end
+module Reference = struct
+  let sin = trig Sin ~use_kernel:false
+  let cos = trig Cos ~use_kernel:false
+  let tan = trig Tan ~use_kernel:false
+  let sin_series = sin_series
+  let cos_series = cos_series
+
+  let series_bound ~cos ~wp r v =
+    match r with
+    | B.Fin fr ->
+        let w = wp + kernel_extra in
+        let _, ly = square_fixed ~w fr in
+        let n = Array.length (term_logs ~sin:(not cos) ~w ~ly) - 1 in
+        old_bound ~k_old:2 ~wp ~n v
+    | _ -> invalid_arg "Bigfloat_math.Reference.series_bound"
+
+  let fallbacks () = Atomic.get fallbacks
+end
 
 (* atan for finite x via 8 angle-halving reductions then the Gregory
    series. *)
@@ -552,7 +699,7 @@ let acos ~prec x =
 let sinh ~prec x =
   match x with
   | B.Nan | B.Inf _ | B.Zero _ -> x
-  | B.Fin f ->
+  | B.Fin _ ->
       if magnitude x < -1 then begin
         (* Taylor: x + x^3/3! + ... avoids exp cancellation near zero *)
         let wp = prec + guard in
@@ -576,7 +723,6 @@ let sinh ~prec x =
       else begin
         let wp = prec + guard in
         let e = exp ~prec:wp x and en = exp ~prec:wp (B.neg x) in
-        ignore f;
         B.round ~prec (B.mul_2exp (B.sub ~prec:wp e en) (-1))
       end
 
@@ -700,7 +846,7 @@ let hypot ~prec x y =
         (B.add ~prec:wp (B.mul ~prec:wp x x) (B.mul ~prec:wp y y))
 
 let fma ~prec x y z =
-  let p = B.mul ~prec:(max_int / 16) x y in
+  let p = B.mul ~prec:exact x y in
   B.add ~prec p z
 
 let fmod x y =

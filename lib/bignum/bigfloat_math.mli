@@ -3,6 +3,9 @@
     Every function takes a target precision [prec] and returns a result
     faithful to within a few ulps at that precision (computed internally
     with 32 or more guard bits; see DESIGN.md for the precision contract).
+    Results are not correctly rounded. [sin], [cos] and [tan] run a fast
+    fixed-point kernel, but their results are bit-identical to rounding
+    the term-by-term series in {!Reference} (DESIGN.md decision 19).
     Together with {!Bigfloat} this covers the libm surface that Herbgrind
     wraps (paper section 5.4): the shadow real execution calls these to get
     the exact result of client math-library calls.
@@ -41,3 +44,27 @@ val fmod : Bigfloat.t -> Bigfloat.t -> Bigfloat.t
 
 val copysign : Bigfloat.t -> Bigfloat.t -> Bigfloat.t
 val fdim : prec:int -> Bigfloat.t -> Bigfloat.t -> Bigfloat.t
+
+(** For tests only: the term-by-term trig series that define [sin], [cos]
+    and [tan]. *)
+module Reference : sig
+  val sin : prec:int -> Bigfloat.t -> Bigfloat.t
+  val cos : prec:int -> Bigfloat.t -> Bigfloat.t
+  val tan : prec:int -> Bigfloat.t -> Bigfloat.t
+  (** The same reduction and series as [sin], [cos] and [tan], without the
+      fast kernel. *)
+
+  val sin_series : wp:int -> Bigfloat.t -> Bigfloat.t
+  val cos_series : wp:int -> Bigfloat.t -> Bigfloat.t
+  (** The series for a reduced argument, with [|r| < 1], at working
+      precision [wp]. *)
+
+  val series_bound : cos:bool -> wp:int -> Bigfloat.t -> Bigfloat.t -> Bigfloat.t
+  (** [series_bound ~cos ~wp r v] is the error bound eps_old that the fast
+      kernel assumes for [sin_series ~wp r] (or [cos_series] when [cos]),
+      given [v] within a small relative error of the series' true value. *)
+
+  val fallbacks : unit -> int
+  (** How many calls of [sin], [cos] and [tan] in this process the fast
+      kernel could not decide, so that they ran the reference. *)
+end

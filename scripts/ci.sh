@@ -18,6 +18,15 @@ dune exec bin/fpgrind_cli.exe -- suite \
 
 dune exec bin/fpgrind_cli.exe -- validate "$out"
 
+# Transcendental smoke: pendulum's sin and arclength's cos at the paper's
+# 1000-bit shadow precision, on two domains, through the fast trig kernel.
+trig_out="$(mktemp /tmp/fpgrind-ci-trig.XXXXXX.jsonl)"
+trap 'rm -f "$out" "$trig_out"' EXIT
+dune exec bin/fpgrind_cli.exe -- suite pendulum arclength \
+  --precision 1000 --iterations 2 -j 2 --timeout 60 \
+  --json "$trig_out" --no-cache --strict
+dune exec bin/fpgrind_cli.exe -- validate "$trig_out"
+
 # Differential-fuzz smoke: a fixed-seed campaign (so CI is reproducible)
 # plus replay of every committed counterexample in test/corpus. Any
 # divergence exits nonzero after printing the shrunken reproducer.
@@ -29,7 +38,7 @@ dune exec bin/fpgrind_cli.exe -- fuzz \
 # one; --fatal turns the first finding into exit 2.
 san_bad="$(mktemp /tmp/fpgrind-ci-bad.XXXXXX.mc)"
 san_ok="$(mktemp /tmp/fpgrind-ci-ok.XXXXXX.mc)"
-trap 'rm -f "$out" "$san_bad" "$san_ok"' EXIT
+trap 'rm -f "$out" "$trig_out" "$san_bad" "$san_ok"' EXIT
 cat >"$san_bad" <<'EOF'
 int main() {
   double x = 1.0e16;
@@ -61,7 +70,7 @@ dune exec bin/fpgrind_cli.exe -- fuzz \
 # the same spot as the full analysis, and stay silent on the clean one.
 tier_out="$(mktemp /tmp/fpgrind-ci-tier.XXXXXX.txt)"
 full_out="$(mktemp /tmp/fpgrind-ci-full.XXXXXX.txt)"
-trap 'rm -f "$out" "$san_bad" "$san_ok" "$tier_out" "$full_out"' EXIT
+trap 'rm -f "$out" "$trig_out" "$san_bad" "$san_ok" "$tier_out" "$full_out"' EXIT
 dune exec bin/fpgrind_cli.exe -- analyze "$san_bad" --engine tiered >"$tier_out"
 dune exec bin/fpgrind_cli.exe -- analyze "$san_bad" --engine full >"$full_out"
 tier_spot="$(grep -o 'at [^ ]*:[0-9]*' "$tier_out" | head -1)"
@@ -87,7 +96,7 @@ bin=_build/default/bin/fpgrind_cli.exe
 srv_log="$(mktemp /tmp/fpgrind-ci-serve.XXXXXX.log)"
 srv_store="$(mktemp /tmp/fpgrind-ci-serve.XXXXXX.jsonl)"
 rm -f "$srv_store"
-trap 'rm -f "$out" "$san_bad" "$san_ok" "$srv_log" "$srv_store"' EXIT
+trap 'rm -f "$out" "$trig_out" "$san_bad" "$san_ok" "$srv_log" "$srv_store"' EXIT
 
 "$bin" serve --port 0 --jobs 1 --queue 8 --store "$srv_store" >"$srv_log" 2>&1 &
 srv_pid=$!
@@ -114,7 +123,7 @@ grep -q 'drained, store flushed' "$srv_log"
 # point, and validate treats any failed row as nonzero.)
 ing_out="$(mktemp /tmp/fpgrind-ci-ingest.XXXXXX.jsonl)"
 ing_txt="$(mktemp /tmp/fpgrind-ci-ingest.XXXXXX.txt)"
-trap 'rm -f "$out" "$san_bad" "$san_ok" "$srv_log" "$srv_store" "$ing_out" "$ing_txt"' EXIT
+trap 'rm -f "$out" "$trig_out" "$san_bad" "$san_ok" "$srv_log" "$srv_store" "$ing_out" "$ing_txt"' EXIT
 "$bin" suite --dir test/corpus-ext --engine tiered \
   --iterations 2 --timeout 60 --json "$ing_out" --no-cache >"$ing_txt"
 grep -q 'ext-sqrt-diff' "$ing_txt"
@@ -127,7 +136,7 @@ grep -q 'ingest' "$ing_txt"   # the malformed artifacts surfaced as failed rows
 # (a regime run exits 1 on an unsound fix).
 reg_multi="$(mktemp /tmp/fpgrind-ci-regime.XXXXXX.json)"
 reg_single="$(mktemp /tmp/fpgrind-ci-regime1.XXXXXX.json)"
-trap 'rm -f "$out" "$san_bad" "$san_ok" "$srv_log" "$srv_store" "$ing_out" "$ing_txt" "$reg_multi" "$reg_single"' EXIT
+trap 'rm -f "$out" "$trig_out" "$san_bad" "$san_ok" "$srv_log" "$srv_store" "$ing_out" "$ing_txt" "$reg_multi" "$reg_single"' EXIT
 "$bin" improve bench:quadratic-full --regimes \
   --points 96 --depth 4 --penalty 0.05 --json "$reg_multi" >/dev/null
 jq -e '(.regimes >= 2) and (.selected == "branched")
@@ -166,7 +175,7 @@ wait "$reg_srv_pid"
 # server configured with the feed serves it at GET /findings and exports
 # the campaign gauges.
 camp_dir="$(mktemp -d /tmp/fpgrind-ci-camp.XXXXXX)"
-trap 'rm -f "$out" "$san_bad" "$san_ok" "$srv_log" "$srv_store" "$ing_out" "$ing_txt"; rm -rf "$camp_dir"' EXIT
+trap 'rm -f "$out" "$trig_out" "$san_bad" "$san_ok" "$srv_log" "$srv_store" "$ing_out" "$ing_txt"; rm -rf "$camp_dir"' EXIT
 camp_flags=(--seed 42 --iters 170 --soundiness-every 2 --regimes-every 3 --checkpoint-every 10 --quiet)
 
 "$bin" campaign "${camp_flags[@]}" \
@@ -231,7 +240,7 @@ wait "$srv2_pid"
 # request succeeds), then drains on SIGTERM leaving a validate-clean
 # store (the advisory-locked shared cache file).
 shard_dir="$(mktemp -d /tmp/fpgrind-ci-shard.XXXXXX)"
-trap 'rm -f "$out" "$san_bad" "$san_ok" "$srv_log" "$srv_store" "$ing_out" "$ing_txt"; rm -rf "$camp_dir" "$shard_dir"' EXIT
+trap 'rm -f "$out" "$trig_out" "$san_bad" "$san_ok" "$srv_log" "$srv_store" "$ing_out" "$ing_txt"; rm -rf "$camp_dir" "$shard_dir"' EXIT
 shard_log="$shard_dir/serve.log"
 shard_store="$shard_dir/store.jsonl"
 

@@ -296,6 +296,148 @@ let math_trig () =
   math_unop "cos" M.cos Stdlib.cos inputs;
   math_unop "tan" M.tan Stdlib.tan inputs
 
+(* ---------- fast trig kernel vs the reference series ---------- *)
+
+(* [sin], [cos] and [tan] must return exactly what the term-by-term
+   reference series returns, at every precision the analyses use and on
+   the arguments where the kernel is most likely to slip: full-width
+   mantissas, tiny values, near multiples of pi/2 and both sides of the
+   reduction's 0.78/0.79 shortcut. *)
+
+let trig_precs = [ 53; 128; 256; 1000; 2000 ]
+let exact = max_int / 16
+
+let magnitude = function
+  | B.Fin f -> f.B.exp + N.bit_length f.B.mant
+  | _ -> invalid_arg "magnitude"
+
+(* A random odd mantissa of exactly [bits] bits. *)
+let random_mant st bits =
+  let rec go acc left =
+    if left <= 0 then acc
+    else begin
+      let k = min 30 left in
+      let chunk = Random.State.bits st land ((1 lsl k) - 1) in
+      go (N.add (N.shift_left acc k) (N.of_int chunk)) (left - k)
+    end
+  in
+  let m = go N.one (bits - 1) in
+  if N.is_even m then N.add m N.one else m
+
+(* A full-width [prec]-bit value with |x| in [2^(e-1), 2^e). *)
+let random_full st ~prec e =
+  B.make ~neg:(Random.State.bool st) ~mant:(random_mant st prec) ~exp:(e - prec)
+
+(* [x] moved by [j] units in the last of [prec] places. *)
+let ulps_away ~prec x j =
+  let step = B.mul_2exp (B.of_int j) (magnitude x - prec) in
+  B.round ~prec (B.add ~prec:exact x step)
+
+let trig_arguments st ~prec =
+  let full = List.init 60 (fun _ -> random_full st ~prec (Random.State.int st 6 - 3)) in
+  let tiny =
+    List.init 30 (fun _ ->
+        let k = 1 + Random.State.int st 600 in
+        if Random.State.bool st then B.mul_2exp B.one (-k)
+        else random_full st ~prec (-k))
+  in
+  let half_pi = B.mul_2exp (M.pi ~prec:(prec + 96)) (-1) in
+  let near_pole =
+    List.concat_map
+      (fun _ ->
+        let k = 1 + Random.State.int st 63_661_977 in
+        let c = B.round ~prec (B.mul ~prec:(prec + 96) (B.of_int k) half_pi) in
+        let d = B.of_float (float_of_int k *. Float.pi /. 2.0) in
+        [ c; ulps_away ~prec c (-1); ulps_away ~prec c 2; d ])
+      (List.init 10 Fun.id)
+  in
+  let shortcut =
+    List.init 20 (fun _ ->
+        let lo = B.of_float 0.77 in
+        let x = random_full st ~prec 0 in
+        B.add ~prec lo (B.mul_2exp (B.abs x) (-5)))
+    @ List.concat_map
+        (fun f ->
+          let x = B.of_float f in
+          [ x; B.neg x; ulps_away ~prec x 1; ulps_away ~prec x (-1) ])
+        [ 0.78; 0.79 ]
+  in
+  (B.zero :: B.neg_zero :: full) @ tiny @ near_pole @ shortcut
+
+let trig_kernel_identity () =
+  let st = Random.State.make [| 0x7419 |] in
+  let before = M.Reference.fallbacks () in
+  let calls = ref 0 in
+  List.iter
+    (fun prec ->
+      List.iter
+        (fun x ->
+          List.iter
+            (fun (name, fast, reference) ->
+              incr calls;
+              let got = fast ~prec x and want = reference ~prec x in
+              if not (B.equal got want && B.is_negative got = B.is_negative want)
+              then
+                Alcotest.failf "%s at prec %d differs from the reference at %s"
+                  name prec
+                  (B.to_decimal_string ~digits:40 x))
+            [ ("sin", M.sin, M.Reference.sin); ("cos", M.cos, M.Reference.cos);
+              ("tan", M.tan, M.Reference.tan) ])
+        (trig_arguments st ~prec))
+    trig_precs;
+  let fell = M.Reference.fallbacks () - before in
+  Printf.printf "trig kernel: %d calls, %d fell back to the reference\n" !calls fell;
+  checkb "kernel accepted on at least 99.9% of arguments" true
+    (fell * 1000 <= !calls)
+
+(* x = 2^-60 (1 + 2^-53) is the midpoint between two 53-bit neighbours,
+   and sin x and tan x lie within x^3/2 of it, far inside the kernel's
+   error interval, so the kernel cannot decide the rounding: the
+   reference must run, and its answer (x rounded to even) be returned. *)
+let trig_kernel_fallback () =
+  let x = B.make ~neg:false ~mant:(N.add (N.shift_left N.one 53) N.one) ~exp:(-113) in
+  List.iter
+    (fun (name, fast, reference) ->
+      let before = M.Reference.fallbacks () in
+      let got = fast ~prec:53 x in
+      checki (name ^ " fell back") (before + 1) (M.Reference.fallbacks ());
+      checkb (name ^ " = reference") true (B.equal got (reference ~prec:53 x)))
+    [ ("sin", M.sin, M.Reference.sin); ("tan", M.tan, M.Reference.tan) ]
+
+(* The identity proof assumes the reference series is within eps_old of
+   the true value. Measure it against the same series 256 bits wider, on
+   reduced arguments, and demand a 16x margin: a looser stop rule or a
+   lost rounding in the series fails here. wp = prec + 32 is the
+   library's working precision. *)
+let trig_reference_bound () =
+  let st = Random.State.make [| 0xb0d |] in
+  List.iter
+    (fun prec ->
+      let wp = prec + 32 in
+      let args =
+        List.init 40 (fun _ ->
+            B.mul ~prec:wp (B.of_float 0.7854)
+              (B.make ~neg:(Random.State.bool st)
+                 ~mant:(random_mant st wp) ~exp:(-wp)))
+        @ List.init 10 (fun _ -> random_full st ~prec:wp (-Random.State.int st 300))
+      in
+      List.iter
+        (fun r ->
+          List.iter
+            (fun (cos, series) ->
+              let v = series ~wp r and truth = series ~wp:(wp + 256) r in
+              let err = B.abs (B.sub ~prec:exact v truth) in
+              let bound = M.Reference.series_bound ~cos ~wp r truth in
+              if B.gt (B.mul_2exp err 4) bound then
+                Alcotest.failf "%s series at prec %d: error %s > eps_old/16 = %s at r = %s"
+                  (if cos then "cos" else "sin") prec
+                  (B.to_decimal_string err)
+                  (B.to_decimal_string (B.mul_2exp bound (-4)))
+                  (B.to_decimal_string ~digits:30 r))
+            [ (false, M.Reference.sin_series); (true, M.Reference.cos_series) ])
+        args)
+    trig_precs
+
 let math_inverse_trig () =
   let inputs = [ 0.5; -0.5; 0.999; -0.999; 0.001; 1.0; -1.0; 0.0 ] in
   math_unop "asin" M.asin Stdlib.asin inputs;
@@ -442,6 +584,9 @@ let () =
           Alcotest.test_case "exp" `Quick math_exp;
           Alcotest.test_case "log" `Quick math_log;
           Alcotest.test_case "trig" `Quick math_trig;
+          Alcotest.test_case "trig kernel = reference" `Quick trig_kernel_identity;
+          Alcotest.test_case "trig kernel fallback" `Quick trig_kernel_fallback;
+          Alcotest.test_case "trig reference bound" `Quick trig_reference_bound;
           Alcotest.test_case "inverse trig" `Quick math_inverse_trig;
           Alcotest.test_case "atan2" `Quick math_atan2;
           Alcotest.test_case "hyperbolic" `Quick math_hyperbolic;
