@@ -490,6 +490,23 @@ let tiered_payload_for ~name ~group ~nodes0 ~mat0 (r : Tiered.result) :
         p_regime = None;
       }
 
+(* One program under the configured engine, as a store payload. The
+   trace counters are read first so the payload reports this run's
+   nodes only. *)
+let analyze_prog ~cfg ~max_steps ~inputs ~tick ~name ~group prog : payload =
+  let nodes0 = Core.Trace.created_in_domain () in
+  let mat0 = Core.Trace.materialized_in_domain () in
+  match cfg.Core.Config.engine with
+  | Core.Config.Full ->
+      let r = Core.Analysis.analyze ~cfg ~max_steps ~inputs ~tick prog in
+      payload_for ~name ~group ~nodes0 ~mat0 r
+  | Core.Config.Sanitize ->
+      let r = Sanitize.Sexec.run ~max_steps ~inputs ~tick cfg prog in
+      san_payload_for ~name ~group r
+  | Core.Config.Tiered ->
+      let r = Tiered.analyze ~cfg ~max_steps ~inputs ~tick prog in
+      tiered_payload_for ~name ~group ~nodes0 ~mat0 r
+
 let bench_spec ?(cfg = Core.Config.default) ?(max_steps = 200_000_000)
     (j : Fpcore.Suite.job) : spec =
   let b = j.Fpcore.Suite.job_bench in
@@ -502,22 +519,8 @@ let bench_spec ?(cfg = Core.Config.default) ?(max_steps = 200_000_000)
     let prog =
       Fpcore.Compile.compile ~n_inputs:iters ~name:b.Fpcore.Suite.name core
     in
-    match cfg.Core.Config.engine with
-    | Core.Config.Full ->
-        let nodes0 = Core.Trace.created_in_domain () in
-        let mat0 = Core.Trace.materialized_in_domain () in
-        let r = Core.Analysis.analyze ~cfg ~max_steps ~inputs ~tick prog in
-        payload_for ~name:b.Fpcore.Suite.name ~group:(group_name b) ~nodes0
-          ~mat0 r
-    | Core.Config.Sanitize ->
-        let r = Sanitize.Sexec.run ~max_steps ~inputs ~tick cfg prog in
-        san_payload_for ~name:b.Fpcore.Suite.name ~group:(group_name b) r
-    | Core.Config.Tiered ->
-        let nodes0 = Core.Trace.created_in_domain () in
-        let mat0 = Core.Trace.materialized_in_domain () in
-        let r = Tiered.analyze ~cfg ~max_steps ~inputs ~tick prog in
-        tiered_payload_for ~name:b.Fpcore.Suite.name ~group:(group_name b)
-          ~nodes0 ~mat0 r
+    analyze_prog ~cfg ~max_steps ~inputs ~tick ~name:b.Fpcore.Suite.name
+      ~group:(group_name b) prog
   in
   {
     sp_name = b.Fpcore.Suite.name;

@@ -30,7 +30,7 @@ let refresh_locked (t : t) : unit =
   | None -> ()
   | Some (_, tail) ->
       Durable.poll tail (fun line ->
-          let o = Fleet.Store.outcome_of_json (Fleet.Json.of_string line) in
+          let o = Fleet.Store.outcome_of_json (Json.of_string line) in
           if Fleet.Store.reusable o then Hashtbl.replace t.tbl o.Fleet.o_key o)
 
 let lookup (t : t) (key : string) : Fleet.outcome option =
@@ -50,7 +50,7 @@ let publish (t : t) (o : Fleet.outcome) : unit =
     (match t.log with
     | Some (path, _) ->
         Durable.append path
-          [ Fleet.Json.to_string (Fleet.Store.outcome_to_json o) ]
+          [ Json.to_string (Fleet.Store.outcome_to_json o) ]
     | None -> ());
     with_lock t (fun () -> Hashtbl.replace t.tbl o.Fleet.o_key o)
   end

@@ -476,20 +476,7 @@ let analyze_spec ?engine (rq : Http.request) : Fleet.spec =
         | exception Minic.Compile_error msg -> Http.fail 400 msg
     in
     let work ~tick =
-      match cfg.Core.Config.engine with
-      | Core.Config.Full ->
-          let nodes0 = Core.Trace.created_in_domain () in
-          let mat0 = Core.Trace.materialized_in_domain () in
-          let r = Core.Analysis.analyze ~cfg ~max_steps ~inputs ~tick prog in
-          Fleet.payload_for ~name ~group:kind ~nodes0 ~mat0 r
-      | Core.Config.Sanitize ->
-          let r = Sanitize.Sexec.run ~max_steps ~inputs ~tick cfg prog in
-          Fleet.san_payload_for ~name ~group:kind r
-      | Core.Config.Tiered ->
-          let nodes0 = Core.Trace.created_in_domain () in
-          let mat0 = Core.Trace.materialized_in_domain () in
-          let r = Tiered.analyze ~cfg ~max_steps ~inputs ~tick prog in
-          Fleet.tiered_payload_for ~name ~group:kind ~nodes0 ~mat0 r
+      Fleet.analyze_prog ~cfg ~max_steps ~inputs ~tick ~name ~group:kind prog
     in
     {
       Fleet.sp_name = name;
@@ -533,24 +520,24 @@ let fuzz_spec (rq : Http.request) ~timeout : Fleet.spec =
             | Fuzz.Campaign.Error msg -> ("error", msg)
             | Fuzz.Campaign.Passed | Fuzz.Campaign.Skipped _ -> ("", "")
           in
-          Fleet.Json.Obj
+          Json.Obj
             [
-              ("index", Fleet.Json.Num (float_of_int e.Fuzz.Campaign.e_index));
-              ("digest", Fleet.Json.Str e.Fuzz.Campaign.e_digest);
-              ("oracle", Fleet.Json.Str oracle);
-              ("detail", Fleet.Json.Str detail);
+              ("index", Json.Num (float_of_int e.Fuzz.Campaign.e_index));
+              ("digest", Json.Str e.Fuzz.Campaign.e_digest);
+              ("oracle", Json.Str oracle);
+              ("detail", Json.Str detail);
             ])
         failures
     in
     let json =
-      Fleet.Json.Obj
+      Json.Obj
         [
-          ("seed", Fleet.Json.Num (float_of_int seed));
-          ("iters", Fleet.Json.Num (float_of_int iters));
-          ("passed", Fleet.Json.Num (float_of_int passed));
-          ("skipped", Fleet.Json.Num (float_of_int skipped));
-          ("divergent", Fleet.Json.Num (float_of_int (List.length failures)));
-          ("failures", Fleet.Json.Arr entries);
+          ("seed", Json.Num (float_of_int seed));
+          ("iters", Json.Num (float_of_int iters));
+          ("passed", Json.Num (float_of_int passed));
+          ("skipped", Json.Num (float_of_int skipped));
+          ("divergent", Json.Num (float_of_int (List.length failures)));
+          ("failures", Json.Arr entries);
         ]
     in
     {
@@ -572,7 +559,7 @@ let fuzz_spec (rq : Http.request) ~timeout : Fleet.spec =
       p_summary =
         Printf.sprintf "fuzz seed %d: %d programs, %d divergent, %d skipped"
           seed iters (List.length failures) skipped;
-      p_report = Fleet.Json.to_string json;
+      p_report = Json.to_string json;
       p_regime = None;
     }
   in
@@ -697,11 +684,11 @@ let shard_restarts t : int =
   | Some path -> (
       match
         Durable.read path (fun l ->
-            Fleet.Json.get_int "restarts" (Fleet.Json.of_string l))
+            Json.get_int "restarts" (Json.of_string l))
       with
       | [ n ], _ -> n
       | _ -> 0
-      | exception (Sys_error _ | Fleet.Json.Parse_error _) -> 0)
+      | exception (Sys_error _ | Json.Parse_error _) -> 0)
 
 let handle_metrics t _rq =
   Metrics.set t.m_queue_depth (float_of_int (Fleet.Pool.queue_depth t.pool));

@@ -13,10 +13,10 @@
    produced must match exactly; only the new observability fields and
    the clock are allowed to differ. *)
 
-let rec scrub (j : Fleet.Json.t) : Fleet.Json.t =
+let rec scrub (j : Json.t) : Json.t =
   match j with
-  | Fleet.Json.Obj kvs ->
-      Fleet.Json.Obj
+  | Json.Obj kvs ->
+      Json.Obj
         (List.filter_map
            (fun (k, v) ->
              if
@@ -25,11 +25,11 @@ let rec scrub (j : Fleet.Json.t) : Fleet.Json.t =
              then None
              else Some (k, scrub v))
            kvs)
-  | Fleet.Json.Arr xs -> Fleet.Json.Arr (List.map scrub xs)
+  | Json.Arr xs -> Json.Arr (List.map scrub xs)
   | x -> x
 
 let canon (o : Fleet.outcome) : string =
-  Fleet.Json.to_string (scrub (Fleet.Store.outcome_to_json o))
+  Json.to_string (scrub (Fleet.Store.outcome_to_json o))
 
 let read_lines path =
   let ic = open_in path in
@@ -76,20 +76,7 @@ let tick () = ()
 
 let fuzz_payload engine ~name prog inputs : Fleet.payload =
   let cfg = { Core.Config.default with Core.Config.engine } in
-  match engine with
-  | Core.Config.Full ->
-      let nodes0 = Core.Trace.created_in_domain () in
-      let mat0 = Core.Trace.materialized_in_domain () in
-      let r = Core.Analysis.analyze ~cfg ~max_steps ~inputs ~tick prog in
-      Fleet.payload_for ~name ~group:"fuzz" ~nodes0 ~mat0 r
-  | Core.Config.Sanitize ->
-      let r = Sanitize.Sexec.run ~max_steps ~inputs ~tick cfg prog in
-      Fleet.san_payload_for ~name ~group:"fuzz" r
-  | Core.Config.Tiered ->
-      let nodes0 = Core.Trace.created_in_domain () in
-      let mat0 = Core.Trace.materialized_in_domain () in
-      let r = Tiered.analyze ~cfg ~max_steps ~inputs ~tick prog in
-      Fleet.tiered_payload_for ~name ~group:"fuzz" ~nodes0 ~mat0 r
+  Fleet.analyze_prog ~cfg ~max_steps ~inputs ~tick ~name ~group:"fuzz" prog
 
 let fuzz_digest (tag, engine) ~name prog inputs : string =
   match fuzz_payload engine ~name prog inputs with
@@ -162,9 +149,9 @@ let second_pass_cached () =
   in
   let modulo_wall o =
     match Fleet.Store.outcome_to_json o with
-    | Fleet.Json.Obj kvs ->
-        Fleet.Json.to_string (Fleet.Json.Obj (List.remove_assoc "wall_s" kvs))
-    | j -> Fleet.Json.to_string j
+    | Json.Obj kvs ->
+        Json.to_string (Json.Obj (List.remove_assoc "wall_s" kvs))
+    | j -> Json.to_string j
   in
   let pass () =
     let records = List.map modulo_wall (Fleet.run ~jobs:2 specs) in
