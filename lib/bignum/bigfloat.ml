@@ -301,8 +301,8 @@ let sqrt ~prec x =
       let bl = N.bit_length m in
       let k = max 0 (((2 * (prec + 2)) - bl + 1) / 2) in
       let m = N.shift_left m (2 * k) in
-      let s = N.isqrt m in
-      let sticky = not (N.equal (N.mul s s) m) in
+      let s, rem = N.sqrt_rem m in
+      let sticky = not (N.is_zero rem) in
       round_raw ~prec ~sticky false s (h - k)
 
 let cmp x y =

@@ -11,8 +11,8 @@
     rounded to the requested precision. Transcendental functions live in
     {!Bigfloat_math} and are faithful to within a couple of ulps at the
     requested precision, not correctly rounded (see DESIGN.md on the
-    table-maker's dilemma); [sin], [cos] and [tan] are bit-identical to
-    their reference series. *)
+    table-maker's dilemma); [exp], [expm1], [log], [log1p], [atan],
+    [sin], [cos] and [tan] are bit-identical to their reference series. *)
 
 type t =
   | Nan

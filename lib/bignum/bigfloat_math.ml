@@ -88,6 +88,13 @@ let magnitude t =
   | B.Zero _ -> min_int
   | B.Nan | B.Inf _ -> max_int
 
+(* ---------- the reference series ----------
+
+   These term-by-term sums at working precision wp define the results of
+   exp, expm1, log, log1p and atan (sin and cos below): the fast kernel
+   returns only what these would give. Each stops at the first term
+   below 2^(mag acc - wp - 4). *)
+
 (* exp(r) for |r| <= 0.4, Taylor at precision wp. *)
 let exp_series ~wp r =
   let acc = ref B.one and term = ref B.one and i = ref 1 in
@@ -103,7 +110,253 @@ let exp_series ~wp r =
   done;
   !acc
 
-let exp ~prec x =
+(* expm1(x) = sum_{i>=1} x^i / i! for |x| < 1/4: no cancellation. *)
+let expm1_series ~wp x =
+  let acc = ref x and term = ref x and i = ref 2 in
+  let continue = ref true in
+  while !continue do
+    term := B.div_int ~prec:wp (B.mul ~prec:wp !term x) !i;
+    if B.is_zero !term || magnitude !term < magnitude !acc - wp - 4 then
+      continue := false
+    else begin
+      acc := B.add ~prec:wp !acc !term;
+      incr i
+    end
+  done;
+  !acc
+
+(* 2 atanh(z) = 2 (z + z^3/3 + z^5/5 + ...) at precision wp. *)
+let atanh2_series ~wp z =
+  let z2 = B.mul ~prec:wp z z in
+  let acc = ref z and term = ref z and i = ref 1 in
+  let continue = ref true in
+  while !continue do
+    term := B.mul ~prec:wp !term z2;
+    let t = B.div_int ~prec:wp !term (2 * !i + 1) in
+    if B.is_zero t || magnitude t < magnitude !acc - wp - 4 then
+      continue := false
+    else begin
+      acc := B.add ~prec:wp !acc t;
+      incr i
+    end
+  done;
+  B.mul_2exp !acc 1
+
+(* atan(z) = z - z^3/3 + z^5/5 - ... for |z| <= tan (pi/1024) or
+   |z| < 2^-9, at precision wp. *)
+let atan_series ~wp z =
+  let z2 = B.mul ~prec:wp z z in
+  let acc = ref z and term = ref z and i = ref 1 in
+  let continue = ref true in
+  while !continue do
+    term := B.neg (B.mul ~prec:wp !term z2);
+    let t = B.div_int ~prec:wp !term ((2 * !i) + 1) in
+    if B.is_zero t || magnitude t < magnitude !acc - wp - 4 then
+      continue := false
+    else begin
+      acc := B.add ~prec:wp !acc t;
+      incr i
+    end
+  done;
+  !acc
+
+(* ---------- the fast kernel ----------
+
+   The kernel sums the same functions of the same reduced argument in
+   fixed point by rectangular splitting, in about 2 sqrt(n) full
+   multiplies instead of n, with a proven error bound eps_new; eps_old
+   bounds the reference series' error. Every value within
+   E >= eps_new + eps_old of the kernel's result v maps to one result
+   under the reference's operations after the series, or the kernel
+   declines: those operations are monotone, so the reference value,
+   which lies in [v - E, v + E], maps to the same result. Declined cases
+   run the reference. DESIGN.md decision 19 derives both bounds. *)
+
+(* Bits the kernel carries beyond wp: they make eps_new negligible next to
+   eps_old, and make the reference stop no later than the kernel does. *)
+let kernel_extra = 24
+
+(* Terms per block for [sums] sums of n terms at width w over shared
+   powers: each block costs one full multiply per sum plus per-block
+   work linear in w, and the powers x^2..x^m cost m - 1 multiplies, so
+   m near sqrt (sums n (1 + 320/w)) balances the two. *)
+let block_size ~sums ~w n =
+  max 2
+    (int_of_float
+       (Float.sqrt (float_of_int (sums * n) *. (1.0 +. (320.0 /. float_of_int w)))))
+
+(* Term k of each series is term k-1 times x / d k, over x = r^2 for
+   sin r / r (d_sin) and cos r (d_cos), and over x = |r| for exp r
+   (d_exp) and expm1 r / r (d_expm1). *)
+let d_sin k = 2 * k * ((2 * k) + 1)
+let d_cos k = ((2 * k) - 1) * 2 * k
+let d_exp k = k
+let d_expm1 k = k + 1
+
+(* |r|^p 2^w in [xw, xw + 1) for p = 1 or 2, and log2 of an upper
+   bound on |r|^p. *)
+let fixed_power ~w ~p (fr : B.fin) =
+  let e = (p * fr.B.exp) + w in
+  let m = if p = 2 then N.mul fr.B.mant fr.B.mant else fr.B.mant in
+  let xw = if e >= 0 then N.shift_left m e else N.shift_right m (-e) in
+  let s = max 0 (N.bit_length xw - 53) in
+  (* xw + 1 <= (top + 1) 2^s, and top + 1 <= 2^53 is exact as a float *)
+  let top = N.to_float (N.shift_right xw s) in
+  (xw, Float.log2 (top +. 1.0) +. float_of_int (s - w) +. 1e-9)
+
+(* lg.(k) >= log2 (x^k / (d 1 ... d k)), given log2 x <= lx, for k up
+   to the least n with lg.(n) <= -(w+1): the sum keeps terms 0 .. n-1. *)
+let term_logs ~d ~w ~lx =
+  let target = -.float_of_int (w + 1) -. 0.01 in
+  let rec go k lg acc =
+    if lg <= target then Array.of_list (List.rev (lg :: acc))
+    else go (k + 1) (lg +. lx -. Float.log2 (float_of_int (d (k + 1)))) (lg :: acc)
+  in
+  go 0 0.0 []
+
+(* pw.(i) = x^i 2^w, each rounded down from the one before. *)
+let powers ~w xw count =
+  let pw = Array.make (count + 1) (N.shift_left N.one w) in
+  for i = 1 to count do
+    pw.(i) <- (if i = 1 then xw else N.shift_right (N.mul pw.(i - 1) xw) w)
+  done;
+  pw
+
+(* Rectangular splitting over blocks of m terms, from the top block
+   down. [block j s t] sums block j's terms at scale 2^(w-s) onto t, the
+   block above joined by one multiply by x^m ([None] for the top block).
+   Block j's total reaches the sum scaled by at most 2^(lg j), so it
+   works s_j bits coarser, with 2^(s_j + lg j) <= 2^-slack. *)
+let blocks ~w ~m ~n ~lg ~block pw =
+  let top = (n - 1) / m in
+  let slack = 4 + N.bit_length (N.of_int (top + 1)) in
+  let acc = ref N.zero and acc_s = ref 0 in
+  for j = top downto 0 do
+    let s = max 0 (int_of_float (Float.floor (-.lg j -. 0.01)) - slack) in
+    let t =
+      if j = top then None
+      else Some (N.shift_right (N.mul (N.shift_right pw.(m) s) !acc) (w - !acc_s))
+    in
+    acc := block j s t;
+    acc_s := s
+  done;
+  !acc
+
+(* The sum of terms 0 .. n-1 (n = length lg - 1), scaled by 2^w, with
+   signs alternating or all positive: Horner over the nested form
+   T_k = 1 -+ x T_(k+1) / d (k+1), T_n = 0. Within block j, t holds
+   x^i T_(jm+i), so a step is t <- x^i -+ t / d (jm+i+1), which never
+   goes negative because t <= x^(i+1) <= x^i when the signs alternate;
+   [Natural.horner_div] floors once per run of steps. T_(jm) reaches the
+   sum scaled by term jm. *)
+let fixed_sum ~d ~alternating ~w ~m ~lg pw =
+  let n = Array.length lg - 1 in
+  blocks ~w ~m ~n ~lg:(fun j -> lg.(j * m)) pw ~block:(fun j s t ->
+      let hi = min m (n - 1 - (j * m)) in
+      let t = match t with Some t -> t | None -> N.shift_right pw.(hi) s in
+      N.horner_div ~alternating ~shift:s pw
+        (Array.init hi (fun i -> d ((j * m) + i + 1)))
+        t)
+
+(* The least n with log2 (y^n / (2n+1)) <= -(w+1), given log2 y <= ly:
+   atanh z / z and atan z / z keep terms 0 .. n-1. *)
+let odd_terms ~w ~ly =
+  let target = -.float_of_int (w + 1) -. 0.01 in
+  let rec go n =
+    if (float_of_int n *. ly) -. Float.log2 (float_of_int ((2 * n) + 1)) <= target
+    then n
+    else go (n + 1)
+  in
+  go 1
+
+(* sum_(i<n) (-+y)^i / (2i+1), scaled by 2^w. No Horner nesting: term i
+   is y^i over its own odd divisor, so a block sums its powers, each
+   divided once ([Natural.sum_div] floors once per run of divisors); the
+   join adds because m is even when the signs alternate. Block j's total
+   reaches the sum scaled by y^(jm). *)
+let odd_sum ~alternating ~w ~ly ~n ~m pw =
+  blocks ~w ~m ~n ~lg:(fun j -> float_of_int (j * m) *. ly) pw ~block:(fun j s t ->
+      let hi = min m (n - (j * m)) in
+      N.sum_div ~alternating ~shift:s pw
+        (Array.init hi (fun i -> (2 * ((j * m) + i)) + 1))
+        (Option.value t ~default:N.zero))
+
+let exact = max_int / 16
+let pow2 e = B.make ~neg:false ~mant:N.one ~exp:e
+let fixed ~w m = B.make ~neg:false ~mant:m ~exp:(-w)
+
+(* The exponent of eps_old for a reference result near v: the series'
+   relative error is below 2 (n + 4) 2^-wp, with n an upper bound on the
+   reference's additions; tan's quotient of two series triples it
+   (k_old 4 rather than 2). *)
+let old_exp ~k_old ~wp ~n v =
+  magnitude v - wp + k_old + N.bit_length (N.of_int (n + 4))
+
+(* [finish v], the reference's operations after its series applied to
+   the kernel's v, when it is the same at both ends of [v - E, v + E];
+   otherwise [None]. [finish] must be monotone. The kernel's relative
+   error is below 2^(rho - w), so eps_new = 2^(mag v + 1 + rho - w), and
+   E = 2^(max (eps_old, eps_new) exponents + 1) covers their sum. *)
+let accept ~finish ~k_old ~rho ~wp ~w ~n v =
+  let eps = pow2 (1 + max (old_exp ~k_old ~wp ~n v) (magnitude v + 1 + rho - w)) in
+  let lo = finish (B.sub ~prec:exact v eps) in
+  if B.equal lo (finish (B.add ~prec:exact v eps)) then Some lo else None
+
+(* Calls each kernel could not decide, so that they ran the reference. *)
+let trig_fallbacks = Atomic.make 0
+let exp_fallbacks = Atomic.make 0
+let log_fallbacks = Atomic.make 0
+let atan_fallbacks = Atomic.make 0
+
+(* The kernel's answer when [use_kernel] and it can prove it, else the
+   reference's. *)
+let decide ~use_kernel counter fast reference =
+  match if use_kernel then fast () else None with
+  | Some v -> v
+  | None ->
+      if use_kernel then Atomic.incr counter;
+      reference ()
+
+(* One Taylor series over |r| < 1/2 in fixed point, alternating when
+   r < 0: exp r = sum_k r^k / k! (d_exp), or, with [expm1],
+   expm1 r = r sum_k r^k / (k+1)! (d_expm1) for |r| < 1/4. The reference
+   makes fewer than n additions. *)
+let taylor_fast ~expm1 ~wp ~finish r =
+  match r with
+  | B.Fin fr when magnitude r <= if expm1 then -2 else -1 ->
+      let w = wp + kernel_extra in
+      let xw, lx = fixed_power ~w ~p:1 fr in
+      let d = if expm1 then d_expm1 else d_exp in
+      let lg = term_logs ~d ~w ~lx in
+      let n = Array.length lg - 1 in
+      let m = block_size ~sums:1 ~w n in
+      let pw = powers ~w xw (min m (n - 1)) in
+      let v = fixed ~w (fixed_sum ~d ~alternating:fr.B.neg ~w ~m ~lg pw) in
+      let v = if expm1 then B.mul ~prec:w r v else v in
+      accept ~finish ~k_old:2 ~rho:6 ~wp ~w ~n v
+  | _ -> None
+
+(* 2 atanh z = 2 z sum_i y^i / (2i+1), or, when [alternating],
+   atan z = z sum_i (-y)^i / (2i+1), with y = z^2, for |z| < 1/2. The
+   reference makes fewer than n additions. The sum's error grows with
+   the block length m: its relative error is below 4m 2^-w. *)
+let odd_fast ~alternating ~wp ~finish z =
+  match z with
+  | B.Fin fz when magnitude z <= -1 ->
+      let w = wp + kernel_extra in
+      let yw, ly = fixed_power ~w ~p:2 fz in
+      let n = odd_terms ~w ~ly in
+      let m = block_size ~sums:1 ~w n in
+      let m = if alternating then m + (m land 1) else m in
+      let pw = powers ~w yw (min m (n - 1)) in
+      let v = B.mul ~prec:w z (fixed ~w (odd_sum ~alternating ~w ~ly ~n ~m pw)) in
+      let v = if alternating then v else B.mul_2exp v 1 in
+      accept ~finish ~k_old:2 ~rho:(2 + N.bit_length (N.of_int m)) ~wp ~w ~n v
+  | _ -> None
+
+(* ---------- exp and log ---------- *)
+
+let exp_with ~use_kernel ~prec x =
   match x with
   | B.Nan -> B.Nan
   | B.Inf false -> B.Inf false
@@ -126,33 +379,27 @@ let exp ~prec x =
           let r =
             B.sub ~prec:(wp + kbits) x (B.mul ~prec:(wp + kbits) (B.of_int k) l2)
           in
-          let s = exp_series ~wp r in
-          B.round ~prec (B.mul_2exp s k)
+          let finish s = B.round ~prec (B.mul_2exp s k) in
+          decide ~use_kernel exp_fallbacks
+            (fun () -> taylor_fast ~expm1:false ~wp ~finish r)
+            (fun () -> finish (exp_series ~wp r))
         end
       end
-
-(* 2 atanh(z) = 2 (z + z^3/3 + z^5/5 + ...) at precision wp. *)
-let atanh2_series ~wp z =
-  let z2 = B.mul ~prec:wp z z in
-  let acc = ref z and term = ref z and i = ref 1 in
-  let continue = ref true in
-  while !continue do
-    term := B.mul ~prec:wp !term z2;
-    let t = B.div_int ~prec:wp !term (2 * !i + 1) in
-    if B.is_zero t || magnitude t < magnitude !acc - wp - 4 then
-      continue := false
-    else begin
-      acc := B.add ~prec:wp !acc t;
-      incr i
-    end
-  done;
-  B.mul_2exp !acc 1
 
 (* [log] sums 2 atanh((x-1)/(x+1)) directly inside (0.70, 1.5). *)
 let near_one_lo = B.of_decimal_string ~prec:64 "0.70"
 let near_one_hi = B.of_decimal_string ~prec:64 "1.5"
 
-let log ~prec x =
+(* The result [finish (atanh2_series ~wp z)]. A zero z (x a power of
+   two) sums nothing and needs no kernel. *)
+let atanh2_with ~use_kernel ~wp ~finish z =
+  if B.is_zero z then finish (atanh2_series ~wp z)
+  else
+    decide ~use_kernel log_fallbacks
+      (fun () -> odd_fast ~alternating:false ~wp ~finish z)
+      (fun () -> finish (atanh2_series ~wp z))
+
+let log_with ~use_kernel ~prec x =
   match x with
   | B.Nan -> B.Nan
   | B.Inf false -> B.Inf false
@@ -174,7 +421,7 @@ let log ~prec x =
           let z =
             B.div ~prec:wp (B.sub ~prec:wp x B.one) (B.add ~prec:wp x B.one)
           in
-          B.round ~prec (atanh2_series ~wp z)
+          atanh2_with ~use_kernel ~wp ~finish:(B.round ~prec) z
         end
         else begin
           let b = magnitude x in
@@ -183,14 +430,15 @@ let log ~prec x =
           let z =
             B.div ~prec:wp (B.sub ~prec:wp m B.one) (B.add ~prec:wp m B.one)
           in
-          let lnm = atanh2_series ~wp z in
           let l2 = ln2 ~prec:wp in
-          B.round ~prec
-            (B.add ~prec:wp (B.mul ~prec:wp (B.of_int (b - 1)) l2) lnm)
+          let e = B.mul ~prec:wp (B.of_int (b - 1)) l2 in
+          atanh2_with ~use_kernel ~wp
+            ~finish:(fun lnm -> B.round ~prec (B.add ~prec:wp e lnm))
+            z
         end
       end
 
-let log1p ~prec x =
+let log1p_with ~use_kernel ~prec x =
   match x with
   | B.Nan -> B.Nan
   | B.Inf false -> B.Inf false
@@ -203,14 +451,14 @@ let log1p ~prec x =
         (* ln(1+x) = 2 atanh(x / (x+2)): no cancellation for small x *)
         let wp = prec + guard in
         let z = B.div ~prec:wp x (B.add ~prec:wp x B.two) in
-        B.round ~prec (atanh2_series ~wp z)
+        atanh2_with ~use_kernel ~wp ~finish:(B.round ~prec) z
       end
       else begin
         let wp = prec + guard in
-        log ~prec (B.add ~prec:wp B.one x)
+        log_with ~use_kernel ~prec (B.add ~prec:wp B.one x)
       end
 
-let expm1 ~prec x =
+let expm1_with ~use_kernel ~prec x =
   match x with
   | B.Nan -> B.Nan
   | B.Inf false -> B.Inf false
@@ -218,25 +466,20 @@ let expm1 ~prec x =
   | B.Zero _ -> x
   | B.Fin _ ->
       if magnitude x < -1 then begin
-        (* Taylor sum_{i>=1} x^i / i!, no cancellation *)
         let wp = prec + guard + max 0 (-magnitude x) in
-        let acc = ref x and term = ref x and i = ref 2 in
-        let continue = ref true in
-        while !continue do
-          term := B.div_int ~prec:wp (B.mul ~prec:wp !term x) !i;
-          if B.is_zero !term || magnitude !term < magnitude !acc - wp - 4 then
-            continue := false
-          else begin
-            acc := B.add ~prec:wp !acc !term;
-            incr i
-          end
-        done;
-        B.round ~prec !acc
+        decide ~use_kernel exp_fallbacks
+          (fun () -> taylor_fast ~expm1:true ~wp ~finish:(B.round ~prec) x)
+          (fun () -> B.round ~prec (expm1_series ~wp x))
       end
       else begin
         let wp = prec + guard in
-        B.sub ~prec (exp ~prec:wp x) B.one
+        B.sub ~prec (exp_with ~use_kernel ~prec:wp x) B.one
       end
+
+let exp = exp_with ~use_kernel:true
+let log = log_with ~use_kernel:true
+let log1p = log1p_with ~use_kernel:true
+let expm1 = expm1_with ~use_kernel:true
 
 let log2 ~prec x =
   let wp = prec + guard in
@@ -373,18 +616,10 @@ let trig_reduce ~wp x =
     else attempt guard 0
   end
 
-(* ---------- sin, cos, tan: fast kernel over the reference series ----------
+(* ---------- sin, cos, tan ----------
 
    Both ways of evaluating share [trig_reduce]'s (q, r). The reference
-   rounds [sin_series]/[cos_series] at wp = prec + guard bits to prec.
-   The kernel sums the same Taylor series in fixed point by rectangular
-   splitting, in about 2 sqrt(n) full multiplies instead of n, with a
-   proven error bound eps_new; eps_old bounds the reference's error.
-   Every value within eps_new + eps_old of the kernel's result rounds
-   alike, or the kernel declines: round-to-nearest is monotone, so the
-   reference value, which lies in that interval, rounds the same way.
-   Declined cases run the reference. DESIGN.md decision 19 derives both
-   bounds. *)
+   rounds [sin_series]/[cos_series] at wp = prec + guard bits to prec. *)
 
 type trig = Sin | Cos | Tan
 
@@ -400,109 +635,26 @@ let reference_reduced kind ~wp q r =
       let s = sin_series ~wp r and c = cos_series ~wp r in
       if q land 1 = 0 then B.div ~prec:wp s c else B.neg (B.div ~prec:wp c s)
 
-(* Bits the kernel carries beyond wp: they make eps_new negligible next to
-   eps_old, and make the reference stop no later than the kernel does. *)
-let kernel_extra = 24
-
-(* Terms per block: a block costs one full multiply, the powers y^2..y^m
-   cost m - 1 more. *)
-let block = 10
-
-(* Over y = r^2, sin r / r = sum_k (-1)^k y^k / (2k+1)! and
-   cos r = sum_k (-1)^k y^k / (2k)!; term k is term k-1 times -y / d k. *)
-let divisor ~sin k = if sin then 2 * k * ((2 * k) + 1) else ((2 * k) - 1) * 2 * k
-
-(* y 2^w in [yw, yw + 1), and log2 of an upper bound on y. *)
-let square_fixed ~w (fr : B.fin) =
-  let e = (2 * fr.B.exp) + w in
-  let sq = N.mul fr.B.mant fr.B.mant in
-  let yw = if e >= 0 then N.shift_left sq e else N.shift_right sq (-e) in
-  let s = max 0 (N.bit_length yw - 53) in
-  (* yw + 1 <= (top + 1) 2^s, and top + 1 <= 2^53 is exact as a float *)
-  let top = N.to_float (N.shift_right yw s) in
-  (yw, Float.log2 (top +. 1.0) +. float_of_int (s - w) +. 1e-9)
-
-(* lg.(k) >= log2 (y^k / (d 1 ... d k)), given log2 y <= ly, for k up
-   to the least n with lg.(n) <= -(w+1): the sum keeps terms 0 .. n-1. *)
-let term_logs ~sin ~w ~ly =
-  let target = -.float_of_int (w + 1) -. 0.01 in
-  let rec go k lg acc =
-    if lg <= target then Array.of_list (List.rev (lg :: acc))
-    else
-      go (k + 1)
-        (lg +. ly -. Float.log2 (float_of_int (divisor ~sin (k + 1))))
-        (lg :: acc)
-  in
-  go 0 0.0 []
-
-(* pw.(i) = y^i 2^w, each rounded down from the one before. *)
-let powers ~w yw count =
-  let pw = Array.make (count + 1) (N.shift_left N.one w) in
-  for i = 1 to count do
-    pw.(i) <- (if i = 1 then yw else N.shift_right (N.mul pw.(i - 1) yw) w)
-  done;
-  pw
-
-(* The sum of terms 0 .. n-1 (n = length lg - 1), scaled by 2^w. Horner
-   over the nested form T_k = 1 - y T_(k+1) / d (k+1), T_n = 0, in blocks
-   of [block] terms. Within block j, t holds y^i T_(jm+i), so a step is
-   t <- y^i - t / d (jm+i+1): one scalar divide and one subtraction, which
-   never goes negative because t <= y^(i+1) <= y^i. The block above joins
-   by one multiply by y^m. T_(jm) reaches the sum scaled by term jm, so
-   block j works s_j bits coarser, with 2^(s_j) term_(jm) <= 2^-slack. *)
-let fixed_sum ~sin ~w ~lg pw =
-  let n = Array.length lg - 1 in
-  let top = (n - 1) / block in
-  let slack = 4 + N.bit_length (N.of_int (top + 1)) in
-  let acc = ref N.zero and acc_s = ref 0 in
-  for j = top downto 0 do
-    let s =
-      max 0 (int_of_float (Float.floor (-.lg.(j * block) -. 0.01)) - slack)
-    in
-    let hi = if j = top then n - 1 - (j * block) else block in
-    let t =
-      ref
-        (if j = top then N.shift_right pw.(hi) s
-         else N.shift_right (N.mul (N.shift_right pw.(block) s) !acc) (w - !acc_s))
-    in
-    for i = hi - 1 downto 0 do
-      let d = divisor ~sin ((j * block) + i + 1) in
-      t := N.sub (N.shift_right pw.(i) s) (fst (N.divmod_int !t d))
-    done;
-    acc := !t;
-    acc_s := s
-  done;
-  !acc
-
-let exact = max_int / 16
-let pow2 e = B.make ~neg:false ~mant:N.one ~exp:e
-
-(* eps_old for a reference result near v: the series' relative error is
-   below 2 (n + 4) 2^-wp, with n the kernel's term count (the reference
-   adds fewer terms); tan's quotient of two series triples it (k_old 4
-   rather than 2). *)
-let old_bound ~k_old ~wp ~n v =
-  pow2 (magnitude v - wp + k_old + N.bit_length (N.of_int (n + 4)))
-
 (* The kernel's value of [reference_reduced kind ~wp q r] rounded to prec,
    or [None] when it cannot prove that rounding. Both bounds assume
    |r| < 1. *)
-let fast kind ~prec ~wp q r =
+let trig_fast kind ~prec ~wp q r =
   match r with
   | B.Fin fr when magnitude r <= 0 ->
       let w = wp + kernel_extra in
-      let yw, ly = square_fixed ~w fr in
+      let yw, ly = fixed_power ~w ~p:2 fr in
       let q = if kind = Cos then (q + 1) land 3 else q in
-      let logs ~sin needed = if needed then term_logs ~sin ~w ~ly else [| 0.0 |] in
-      let lg_sin = logs ~sin:true (kind = Tan || q land 1 = 0)
-      and lg_cos = logs ~sin:false (kind = Tan || q land 1 = 1) in
+      let logs ~d needed = if needed then term_logs ~d ~w ~lx:ly else [| 0.0 |] in
+      let lg_sin = logs ~d:d_sin (kind = Tan || q land 1 = 0)
+      and lg_cos = logs ~d:d_cos (kind = Tan || q land 1 = 1) in
       let n = max (Array.length lg_sin) (Array.length lg_cos) - 1 in
-      if divisor ~sin:true n >= 1 lsl 31 then None
+      if d_sin n >= 1 lsl 31 then None
       else begin
-        let pw = powers ~w yw (min block (n - 1)) in
-        let fixed m = B.make ~neg:false ~mant:m ~exp:(-w) in
-        let s () = B.mul ~prec:w r (fixed (fixed_sum ~sin:true ~w ~lg:lg_sin pw)) in
-        let c () = fixed (fixed_sum ~sin:false ~w ~lg:lg_cos pw) in
+        let m = block_size ~sums:(if kind = Tan then 2 else 1) ~w n in
+        let pw = powers ~w yw (min m (n - 1)) in
+        let sum ~d lg = fixed ~w (fixed_sum ~d ~alternating:true ~w ~m ~lg pw) in
+        let s () = B.mul ~prec:w r (sum ~d:d_sin lg_sin) in
+        let c () = sum ~d:d_cos lg_cos in
         let v, k_old =
           match kind with
           | Sin | Cos ->
@@ -514,19 +666,9 @@ let fast kind ~prec ~wp q r =
                  else B.neg (B.div ~prec:w c s)),
                 4 )
         in
-        (* eps_old + eps_new; the kernel's relative error is below 2^(6-w) *)
-        let eps =
-          B.add ~prec:exact
-            (old_bound ~k_old ~wp ~n v)
-            (pow2 (magnitude v + 7 - w))
-        in
-        let lo = B.round ~prec (B.sub ~prec:exact v eps) in
-        if B.equal lo (B.round ~prec (B.add ~prec:exact v eps)) then Some lo
-        else None
+        accept ~finish:(B.round ~prec) ~k_old ~rho:6 ~wp ~w ~n v
       end
   | _ -> None
-
-let fallbacks = Atomic.make 0
 
 let trig kind ~use_kernel ~prec x =
   match x with
@@ -540,41 +682,19 @@ let trig kind ~use_kernel ~prec x =
             match kind with Sin -> Stdlib.sin | Cos -> Stdlib.cos | Tan -> Stdlib.tan
           in
           B.of_float (f (B.to_float x))
-      | Some (q, r) -> begin
-          match if use_kernel then fast kind ~prec ~wp q r else None with
-          | Some v -> v
-          | None ->
-              if use_kernel then Atomic.incr fallbacks;
-              B.round ~prec (reference_reduced kind ~wp q r)
-        end
+      | Some (q, r) ->
+          decide ~use_kernel trig_fallbacks
+            (fun () -> trig_fast kind ~prec ~wp q r)
+            (fun () -> B.round ~prec (reference_reduced kind ~wp q r))
     end
 
 let sin = trig Sin ~use_kernel:true
 let cos = trig Cos ~use_kernel:true
 let tan = trig Tan ~use_kernel:true
 
-module Reference = struct
-  let sin = trig Sin ~use_kernel:false
-  let cos = trig Cos ~use_kernel:false
-  let tan = trig Tan ~use_kernel:false
-  let sin_series = sin_series
-  let cos_series = cos_series
-
-  let series_bound ~cos ~wp r v =
-    match r with
-    | B.Fin fr ->
-        let w = wp + kernel_extra in
-        let _, ly = square_fixed ~w fr in
-        let n = Array.length (term_logs ~sin:(not cos) ~w ~ly) - 1 in
-        old_bound ~k_old:2 ~wp ~n v
-    | _ -> invalid_arg "Bigfloat_math.Reference.series_bound"
-
-  let fallbacks () = Atomic.get fallbacks
-end
-
 (* atan for finite x via 8 angle-halving reductions then the Gregory
    series. *)
-let atan ~prec x =
+let atan_with ~use_kernel ~prec x =
   match x with
   | B.Nan -> B.Nan
   | B.Inf n ->
@@ -595,27 +715,58 @@ let atan ~prec x =
         in
         z := B.div ~prec:wp !z (B.add ~prec:wp B.one s)
       done;
-      (* Gregory series *)
-      let z2 = B.mul ~prec:wp !z !z in
-      let acc = ref !z and term = ref !z and i = ref 1 in
-      let continue = ref true in
-      while !continue do
-        term := B.neg (B.mul ~prec:wp !term z2);
-        let t = B.div_int ~prec:wp !term ((2 * !i) + 1) in
-        if B.is_zero t || magnitude t < magnitude !acc - wp - 4 then
-          continue := false
-        else begin
-          acc := B.add ~prec:wp !acc t;
-          incr i
-        end
-      done;
-      let angle = B.mul_2exp !acc reductions in
-      let angle =
-        if big then
-          B.sub ~prec:wp (B.mul_2exp (pi ~prec:wp) (-1)) angle
-        else angle
+      let half_pi = if big then B.mul_2exp (pi ~prec:wp) (-1) else B.zero in
+      let finish a =
+        let angle = B.mul_2exp a reductions in
+        let angle = if big then B.sub ~prec:wp half_pi angle else angle in
+        B.round ~prec (if f.B.neg then B.neg angle else angle)
       in
-      B.round ~prec (if f.B.neg then B.neg angle else angle)
+      decide ~use_kernel atan_fallbacks
+        (fun () -> odd_fast ~alternating:true ~wp ~finish !z)
+        (fun () -> finish (atan_series ~wp !z))
+
+let atan = atan_with ~use_kernel:true
+
+module Reference = struct
+  let sin = trig Sin ~use_kernel:false
+  let cos = trig Cos ~use_kernel:false
+  let tan = trig Tan ~use_kernel:false
+  let exp = exp_with ~use_kernel:false
+  let log = log_with ~use_kernel:false
+  let log1p = log1p_with ~use_kernel:false
+  let expm1 = expm1_with ~use_kernel:false
+  let atan = atan_with ~use_kernel:false
+  let sin_series = sin_series
+  let cos_series = cos_series
+  let exp_series = exp_series
+  let expm1_series = expm1_series
+  let atanh2_series = atanh2_series
+  let atan_series = atan_series
+
+  (* the kernel's bound on the reference's additions for this r *)
+  let series_bound series ~wp r v =
+    match r with
+    | B.Fin fr ->
+        let w = wp + kernel_extra in
+        let _, lx = fixed_power ~w ~p:1 fr and _, ly = fixed_power ~w ~p:2 fr in
+        let terms d lx = Array.length (term_logs ~d ~w ~lx) - 1 in
+        let n =
+          match series with
+          | `Sin -> terms d_sin ly
+          | `Cos -> terms d_cos ly
+          | `Exp -> terms d_exp lx
+          | `Expm1 -> terms d_expm1 lx
+          | `Atanh2 | `Atan -> odd_terms ~w ~ly
+        in
+        pow2 (old_exp ~k_old:2 ~wp ~n v)
+    | _ -> invalid_arg "Bigfloat_math.Reference.series_bound"
+
+  let fallbacks = function
+    | `Trig -> Atomic.get trig_fallbacks
+    | `Exp -> Atomic.get exp_fallbacks
+    | `Log -> Atomic.get log_fallbacks
+    | `Atan -> Atomic.get atan_fallbacks
+end
 
 let atan2 ~prec y x =
   match (y, x) with

@@ -3,9 +3,12 @@
     Every function takes a target precision [prec] and returns a result
     faithful to within a few ulps at that precision (computed internally
     with 32 or more guard bits; see DESIGN.md for the precision contract).
-    Results are not correctly rounded. [sin], [cos] and [tan] run a fast
-    fixed-point kernel, but their results are bit-identical to rounding
-    the term-by-term series in {!Reference} (DESIGN.md decision 19).
+    Results are not correctly rounded. [exp], [expm1], [log], [log1p],
+    [atan], [sin], [cos] and [tan] run a fast fixed-point kernel, but
+    their results are bit-identical to rounding the term-by-term series
+    in {!Reference} (DESIGN.md decision 19); [log2], [log10], [exp2],
+    [pow], [sinh], [cosh], [tanh], [cbrt], [atan2], [asin] and [acos]
+    go through them.
     Together with {!Bigfloat} this covers the libm surface that Herbgrind
     wraps (paper section 5.4): the shadow real execution calls these to get
     the exact result of client math-library calls.
@@ -45,26 +48,48 @@ val fmod : Bigfloat.t -> Bigfloat.t -> Bigfloat.t
 val copysign : Bigfloat.t -> Bigfloat.t -> Bigfloat.t
 val fdim : prec:int -> Bigfloat.t -> Bigfloat.t -> Bigfloat.t
 
-(** For tests only: the term-by-term trig series that define [sin], [cos]
-    and [tan]. *)
+(** For tests only: the term-by-term series that define [exp], [expm1],
+    [log], [log1p], [atan], [sin], [cos] and [tan]. *)
 module Reference : sig
   val sin : prec:int -> Bigfloat.t -> Bigfloat.t
   val cos : prec:int -> Bigfloat.t -> Bigfloat.t
   val tan : prec:int -> Bigfloat.t -> Bigfloat.t
-  (** The same reduction and series as [sin], [cos] and [tan], without the
-      fast kernel. *)
+  val exp : prec:int -> Bigfloat.t -> Bigfloat.t
+  val expm1 : prec:int -> Bigfloat.t -> Bigfloat.t
+  val log : prec:int -> Bigfloat.t -> Bigfloat.t
+  val log1p : prec:int -> Bigfloat.t -> Bigfloat.t
+  val atan : prec:int -> Bigfloat.t -> Bigfloat.t
+  (** The same reduction and series as the functions of the same name,
+      without the fast kernel. *)
 
   val sin_series : wp:int -> Bigfloat.t -> Bigfloat.t
   val cos_series : wp:int -> Bigfloat.t -> Bigfloat.t
-  (** The series for a reduced argument, with [|r| < 1], at working
+  (** The trig series for a reduced argument, with [|r| < 1], at working
       precision [wp]. *)
 
-  val series_bound : cos:bool -> wp:int -> Bigfloat.t -> Bigfloat.t -> Bigfloat.t
-  (** [series_bound ~cos ~wp r v] is the error bound eps_old that the fast
-      kernel assumes for [sin_series ~wp r] (or [cos_series] when [cos]),
-      given [v] within a small relative error of the series' true value. *)
+  val exp_series : wp:int -> Bigfloat.t -> Bigfloat.t
+  (** [exp r] for the reduced argument, [|r| < 1/2]. *)
 
-  val fallbacks : unit -> int
-  (** How many calls of [sin], [cos] and [tan] in this process the fast
-      kernel could not decide, so that they ran the reference. *)
+  val expm1_series : wp:int -> Bigfloat.t -> Bigfloat.t
+  (** [exp x - 1] for [|x| < 1/4]. *)
+
+  val atanh2_series : wp:int -> Bigfloat.t -> Bigfloat.t
+  (** [2 atanh z] for [|z| < 1/2]. *)
+
+  val atan_series : wp:int -> Bigfloat.t -> Bigfloat.t
+  (** [atan z] for the reduced argument, [|z| < 1/256]. *)
+
+  val series_bound :
+    [ `Sin | `Cos | `Exp | `Expm1 | `Atanh2 | `Atan ] ->
+    wp:int -> Bigfloat.t -> Bigfloat.t -> Bigfloat.t
+  (** [series_bound s ~wp r v] is the error bound eps_old that the fast
+      kernel assumes for series [s] at [wp] on argument [r], given [v]
+      within a small relative error of the series' true value. *)
+
+  val fallbacks : [ `Trig | `Exp | `Log | `Atan ] -> int
+  (** How many calls in this process each kernel could not decide, so
+      that they ran the reference: [`Trig] counts [sin], [cos] and [tan],
+      [`Exp] counts [exp] and [expm1], [`Log] counts [log] and [log1p],
+      [`Atan] counts [atan] (and through it [atan2], [asin] and
+      [acos]). *)
 end

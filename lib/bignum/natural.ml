@@ -438,22 +438,21 @@ let trailing_zeros (a : t) =
   done;
   (!i * base_bits) + !b
 
-let divmod_int (a : t) (k : int) : t * int =
+(* Writes the limbs of [floor (b / k)] into [q.(0 .. length b - 1)] and
+   returns the remainder, for 0 < k < 2^31. One float reciprocal-multiply
+   per limb instead of two hardware integer divides (or one float divide,
+   whose ~15-cycle latency sits on the loop's serial rem chain).
+   cur < k*2^31, so the true quotient fits 31 bits; the estimate's
+   relative error — three roundings at ~2^-53 each — is under 2^-50,
+   hence off by at most 1 after truncation, and a single fixup in each
+   direction restores exactness. *)
+let quot_into (q : int array) (b : t) (k : int) : int =
   if k <= 0 then invalid_arg "Natural.divmod_int: non-positive divisor";
   if k >= base then invalid_arg "Natural.divmod_int: divisor too large";
-  let la = Array.length a in
-  let q = Array.make la 0 in
   let rem = ref 0 in
-  (* One float reciprocal-multiply per limb instead of two hardware
-     integer divides (or one float divide, whose ~15-cycle latency sits
-     on the loop's serial rem chain). cur < k*2^31, so the true quotient
-     fits 31 bits; the estimate's relative error — three roundings at
-     ~2^-53 each — is under 2^-50, hence off by at most 1 after
-     truncation, and a single fixup in each direction restores
-     exactness. *)
   let ik = 1.0 /. float_of_int k in
-  for i = la - 1 downto 0 do
-    let cur = (!rem lsl base_bits) lor Array.unsafe_get a i in
+  for i = Array.length b - 1 downto 0 do
+    let cur = (!rem lsl base_bits) lor Array.unsafe_get b i in
     let qi = int_of_float (float_of_int cur *. ik) in
     let r = cur - (qi * k) in
     let qi = if r < 0 then qi - 1 else if r >= k then qi + 1 else qi in
@@ -461,7 +460,153 @@ let divmod_int (a : t) (k : int) : t * int =
     Array.unsafe_set q i qi;
     rem := r
   done;
-  (normalize q, !rem)
+  !rem
+
+let divmod_int (a : t) (k : int) : t * int =
+  let q = Array.make (Array.length a) 0 in
+  let rem = quot_into q a k in
+  (normalize q, rem)
+
+(* ---------- in-place fixed-point series steps ----------
+
+   The fast series kernels in [Bigfloat_math] spend their time in steps
+   t <- p +- floor (t / d) with a small d. Dividing by a small int is
+   bound by the latency of the serial remainder chain, while adding a
+   multiple of p is not, so consecutive steps whose divisors multiply
+   below 2^31 share one division: their nested exact value times the
+   divisors' product D is a sum of the p's times partial products of the
+   divisors, plus t. Buffers carry three spare limbs for the factor D
+   and the carries, and are updated in place. *)
+
+(* buf += (p >> s) * c for c < 2^31, reading the shifted limbs on the
+   fly; a limb product plus a limb and a carry stays within max_int *)
+let mac (buf : int array) (p : t) (s : int) (c : int) =
+  let sw = s / base_bits and sb = s mod base_bits in
+  let lp = Array.length p in
+  let carry = ref 0 in
+  for i = 0 to lp - sw - 1 do
+    let j = i + sw in
+    let limb =
+      if sb = 0 then Array.unsafe_get p j
+      else
+        (Array.unsafe_get p j lsr sb)
+        lor
+        if j + 1 < lp then
+          (Array.unsafe_get p (j + 1) lsl (base_bits - sb)) land limb_mask
+        else 0
+    in
+    let v = Array.unsafe_get buf i + (limb * c) + !carry in
+    Array.unsafe_set buf i (v land limb_mask);
+    carry := v lsr base_bits
+  done;
+  let i = ref (max 0 (lp - sw)) in
+  while !carry <> 0 do
+    let v = buf.(!i) + !carry in
+    buf.(!i) <- v land limb_mask;
+    carry := v lsr base_bits;
+    incr i
+  done
+
+(* a -= b, requires a >= b *)
+let sub_in_place (a : int array) (b : int array) =
+  let borrow = ref 0 in
+  for i = 0 to Array.length a - 1 do
+    let v = Array.unsafe_get a i - Array.unsafe_get b i - !borrow in
+    if v < 0 then begin
+      Array.unsafe_set a i (v + base);
+      borrow := 1
+    end
+    else begin
+      Array.unsafe_set a i v;
+      borrow := 0
+    end
+  done
+
+(* a += b *)
+let add_in_place (a : int array) (b : int array) =
+  let carry = ref 0 in
+  for i = 0 to Array.length a - 1 do
+    let v = Array.unsafe_get a i + Array.unsafe_get b i + !carry in
+    Array.unsafe_set a i (v land limb_mask);
+    carry := v lsr base_bits
+  done
+
+(* The longest run of divisors ds.(lo .. hi) ending (step = -1) or
+   starting (step = 1) at [i] whose product stays below 2^31: returns
+   the far end and the product. *)
+let group (ds : int array) i step =
+  let d = ref ds.(i) and e = ref i in
+  while
+    !e + step >= 0 && !e + step < Array.length ds && !d * ds.(!e + step) < base
+  do
+    e := !e + step;
+    d := !d * ds.(!e)
+  done;
+  (!e, !d)
+
+(* A zeroed buffer wide enough for t and for each of the first [n]
+   terms times a factor below 2^31, holding t. *)
+let buffer_for (ps : t array) n (t : t) =
+  let len = ref (Array.length t) in
+  for i = 0 to n - 1 do
+    len := max !len (Array.length ps.(i))
+  done;
+  let buf = Array.make (!len + 3) 0 in
+  Array.blit t 0 buf 0 (Array.length t);
+  buf
+
+let horner_div ~alternating ~shift (ps : t array) (ds : int array) (t : t) : t =
+  let pos = ref (buffer_for ps (Array.length ds) t) in
+  let len = Array.length !pos in
+  let neg = ref (if alternating then Array.make len 0 else [||]) in
+  let i = ref (Array.length ds - 1) in
+  while !i >= 0 do
+    let lo, d = group ds !i (-1) in
+    (* p_q enters with sign (-1)^(q - lo) and coefficient
+       ds.(q) ... ds.(i); t with sign (-1)^(i - lo + 1) and coefficient 1 *)
+    if alternating && (!i - lo) land 1 = 0 then begin
+      let tmp = !pos in
+      pos := !neg;
+      neg := tmp
+    end;
+    let c = ref 1 in
+    for q = !i downto lo do
+      c := !c * ds.(q);
+      mac (if alternating && (q - lo) land 1 = 1 then !neg else !pos) ps.(q) shift !c
+    done;
+    if alternating then begin
+      sub_in_place !pos !neg;
+      Array.fill !neg 0 len 0
+    end;
+    ignore (quot_into !pos !pos d);
+    i := lo - 1
+  done;
+  normalize !pos
+
+let sum_div ~alternating ~shift (ps : t array) (ds : int array) (t : t) : t =
+  let pos = buffer_for ps (Array.length ds) t in
+  let len = Array.length pos in
+  let fresh () = if alternating then Array.make len 0 else [||] in
+  let neg = fresh () and run = Array.make len 0 and run_neg = fresh () in
+  let i = ref 0 in
+  while !i < Array.length ds do
+    let hi, d = group ds !i 1 in
+    (* term q has sign (-1)^q when [alternating]; the terms decrease, so
+       a run's sum has the sign of its first term: sum its magnitude and
+       file it with the positive or the negative terms *)
+    Array.fill run 0 len 0;
+    if alternating then Array.fill run_neg 0 len 0;
+    for q = !i to hi do
+      let odd = alternating && (q - !i) land 1 = 1 in
+      mac (if odd then run_neg else run) ps.(q) shift (d / ds.(q))
+    done;
+    if alternating then sub_in_place run run_neg;
+    ignore (quot_into run run d);
+    add_in_place (if alternating && !i land 1 = 1 then neg else pos) run;
+    i := hi + 1
+  done;
+  if alternating then sub_in_place pos neg;
+  normalize pos
 
 (* [divmod_int (shift_left a s) k], fused: the shifted limbs are
    produced on the fly inside the division pass, so the scaled dividend
@@ -580,21 +725,115 @@ let divmod (a : t) (b : t) : t * t =
   end
   else divmod_knuth a b
 
-let isqrt (a : t) : t =
-  if is_zero a then zero
+(* [(a lsr lo) mod 2^len], in one allocation. *)
+let extract (a : t) (lo : int) (len : int) : t =
+  let limbs = lo / base_bits and bits = lo mod base_bits in
+  let la = Array.length a in
+  if limbs >= la || len <= 0 then zero
   else begin
-    let bl = bit_length a in
-    (* Initial overestimate: 2^ceil(bl/2); Newton from above converges
-       monotonically to floor(sqrt). *)
-    let x = ref (shift_left one ((bl + 1) / 2)) in
-    let continue = ref true in
-    while !continue do
-      let q, _ = divmod a !x in
-      let next = shift_right (add !x q) 1 in
-      if compare next !x < 0 then x := next else continue := false
+    let lr = min (la - limbs) ((len + base_bits - 1) / base_bits) in
+    let r = Array.make lr 0 in
+    for i = 0 to lr - 1 do
+      let j = i + limbs in
+      let hi =
+        if bits > 0 && j + 1 < la then
+          (Array.unsafe_get a (j + 1) lsl (base_bits - bits)) land limb_mask
+        else 0
+      in
+      Array.unsafe_set r i ((Array.unsafe_get a j lsr bits) lor hi)
     done;
-    !x
+    let top = len - ((lr - 1) * base_bits) in
+    if top < base_bits then r.(lr - 1) <- r.(lr - 1) land ((1 lsl top) - 1);
+    normalize r
   end
+
+(* Bits [lo, lo + len) of a as an int, for len <= 62. *)
+let extract_int (a : t) (lo : int) (len : int) : int =
+  let la = Array.length a in
+  let acc = ref 0 in
+  for i = lo / base_bits to min (la - 1) ((lo + len - 1) / base_bits) do
+    let off = (i * base_bits) - lo in
+    let v = Array.unsafe_get a i in
+    acc := !acc lor (if off < 0 then v lsr (-off) else v lsl off)
+  done;
+  !acc land ((1 lsl len) - 1)
+
+(* Floor square root of an int n below 2^60, from a float seed that is a
+   proven overestimate by at most one. With s = floor (sqrt n) < 2^30:
+   float rounding and [Float.sqrt] are monotone and n >= s^2, so the
+   seed is at least fl (sqrt (fl (s^2))). That is s itself: a power of
+   two squares exactly, and otherwise fl (s^2) = s^2 (1 + d) with
+   |d| <= 2^-53 puts the root within s 2^-54 (1 + 2^-55) < 2^(e-53) of s
+   (2^e <= s < 2^(e+1)), inside half the gap below s. From above, the
+   root is below (s + 1)(1 + 2^-53), under s + 2, so truncation lands on
+   s or s + 1 and one integer check settles it. *)
+let isqrt_small (n : int) : int =
+  let s = int_of_float (Float.sqrt (float_of_int n)) in
+  if s * s > n then s - 1 else s
+
+(* Zimmermann's Karatsuba square root ("Karatsuba Square Root", INRIA
+   RR-3805, 1999; Brent and Zimmermann, Modern Computer Arithmetic,
+   algorithm SqrtRem): (s, r) with s = floor (sqrt n) and r = n - s^2.
+
+   Split n = T b^2 + a1 b + a0 with b = 2^l and a1, a0 < b, and take the
+   root (s', r') of the top part T. With q, u the quotient and remainder
+   of r' b + a1 by 2 s', s = s' b + q satisfies n = s^2 + r exactly for
+   r = u b + a0 - q^2. Since u < 2 s', r <= 2s - 1 - 2q - q^2 < 2s + 1,
+   so s >= floor (sqrt n). When T >= b^2 / 4 (s' >= b/2, so q <= b and
+   q^2 <= 2 s' b), r >= -(2s - 1): at most one step s - 1, r + 2s - 1
+   corrects it. l = floor ((bl + 1) / 4) keeps T at least 2l - 1 bits
+   wide, so each level does one division and one square at half width
+   where Newton's loop divides at full width; the remainder, which
+   [Bigfloat.sqrt] needs for its sticky bit, comes free. Up to 120 bits
+   the same step runs in native ints over the float-seeded root of a
+   top part below 2^60: r' b + a1 < 2^61, s < 2^60 and q^2 <= 2^60. *)
+let rec sqrt_rem (n : t) : t * t =
+  let bl = bit_length n in
+  let l = (bl + 1) / 4 in
+  if bl <= 60 then begin
+    let v = extract_int n 0 bl in
+    let s = isqrt_small v in
+    (of_int s, of_int (v - (s * s)))
+  end
+  else if bl <= 120 then begin
+    let top = extract_int n (2 * l) (bl - (2 * l)) in
+    let s1 = isqrt_small top in
+    let r1 = top - (s1 * s1) in
+    let num = (r1 lsl l) lor extract_int n l l in
+    let q = num / (2 * s1) and u = num mod (2 * s1) in
+    let s = (s1 lsl l) + q in
+    let r = (u lsl l) + extract_int n 0 l - (q * q) in
+    if r >= 0 then (of_int s, of_int r)
+    else (of_int (s - 1), of_int (r + (2 * s) - 1))
+  end
+  else begin
+    let s1, r1 = sqrt_rem (shift_right n (2 * l)) in
+    let q, u = divmod (add_shifted r1 l (extract n l l)) (shift_left s1 1) in
+    let s = add_shifted s1 l q in
+    let pos = add_shifted u l (extract n 0 l) and q2 = mul q q in
+    if compare pos q2 >= 0 then (s, sub pos q2)
+    else (sub s one, sub (add pos (sub (shift_left s 1) one)) q2)
+  end
+
+let isqrt (a : t) : t = fst (sqrt_rem a)
+
+module Reference = struct
+  (* Newton from the overestimate 2^ceil(bl/2), dividing at full width
+     every step; from above it converges monotonically to floor (sqrt). *)
+  let isqrt (a : t) : t =
+    if is_zero a then zero
+    else begin
+      let bl = bit_length a in
+      let x = ref (shift_left one ((bl + 1) / 2)) in
+      let continue = ref true in
+      while !continue do
+        let q, _ = divmod a !x in
+        let next = shift_right (add !x q) 1 in
+        if compare next !x < 0 then x := next else continue := false
+      done;
+      !x
+    end
+end
 
 let pow_int (b : t) (e : int) : t =
   if e < 0 then invalid_arg "Natural.pow_int: negative exponent";

@@ -4,7 +4,12 @@
     little-endian in an [int array] with no leading zero limbs, so every
     mathematical natural has exactly one representation. All operations are
     exact. This module is the foundation of the {!Bigfloat} shadow
-    arithmetic that replaces MPFR in this reproduction. *)
+    arithmetic that replaces MPFR in this reproduction. [isqrt] is
+    Zimmermann's Karatsuba square root and equals the Newton loop kept
+    in {!Reference} on every input; [horner_div] and [sum_div] are the
+    fixed-point steps under the series kernels of {!Bigfloat_math},
+    whose [exp], [log] and other series results are bit-identical to
+    [Bigfloat_math.Reference]. *)
 
 type t
 
@@ -37,6 +42,25 @@ val divmod : t -> t -> t * t
 
 val divmod_int : t -> int -> t * int
 (** [divmod_int a k] divides by a small positive int. *)
+
+val horner_div : alternating:bool -> shift:int -> t array -> int array -> t -> t
+(** [horner_div ~alternating ~shift ps ds t] runs the Horner steps
+    [t <- p_i + t / ds.(i)] ([-] when [alternating]) with
+    [p_i = ps.(i) / 2^shift], for [i] from the last index of [ds] down to
+    0, with [0 < ds.(i) < 2^31], and returns the final [t]. Runs of steps
+    whose divisors multiply below [2^31] are evaluated exactly and
+    floored once, so the result is within one unit per step of the exact
+    nested value. When [alternating], every step's exact value must be
+    non-negative. *)
+
+val sum_div : alternating:bool -> shift:int -> t array -> int array -> t -> t
+(** [sum_div ~alternating ~shift ps ds t] is
+    [t + sum_i s_i p_i / ds.(i)] over the indices of [ds], with
+    [p_i = ps.(i) / 2^shift], [0 < ds.(i) < 2^31] and [s_i = 1], or
+    [(-1)^i] when [alternating], floored once per run of divisors that
+    multiply below [2^31]: within one unit per term of the exact sum.
+    When [alternating], [p_i / ds.(i)] must not increase with [i] and
+    the sum must be non-negative. *)
 
 val divshift_int : t -> int -> int -> t * int
 (** [divshift_int a s k] is [divmod_int (shift_left a s) k] in one pass,
@@ -84,6 +108,10 @@ val trailing_zeros : t -> int
 val isqrt : t -> t
 (** [isqrt n] is the integer square root, the largest [s] with [s*s <= n]. *)
 
+val sqrt_rem : t -> t * t
+(** [sqrt_rem n] is [(isqrt n, n - isqrt n * isqrt n)], by Zimmermann's
+    Karatsuba square root seeded from a float root below 60 bits. *)
+
 val pow_int : t -> int -> t
 (** [pow_int b e] is [b] raised to the non-negative power [e]. *)
 
@@ -97,3 +125,10 @@ val to_float : t -> float
 (** Nearest [float] (round to nearest even); may be [infinity]. *)
 
 val pp : Format.formatter -> t -> unit
+
+(** For tests only. *)
+module Reference : sig
+  val isqrt : t -> t
+  (** Newton's iteration from [2^ceil(bl/2)] at full width, the loop
+      [isqrt] replaced; equal to [isqrt] on every input. *)
+end

@@ -134,17 +134,17 @@ let rec expr_size (e : Ast.expr) : int =
   | Ast.Op (_, args) -> 1 + List.fold_left (fun a e -> a + expr_size e) 0 args
   | _ -> 1000
 
-(* The beam search, returning the global top-[keep] scored candidates
-   (best first, the original always in the pool). [improve] takes the
-   head; the regime search branches over the whole set, because the
-   best expression *per input region* is rarely the best overall. *)
-let improve_candidates ?(beam = 8) ?(depth = 4) ?(prec = 256) ?(keep = 6)
-    (e : Ast.expr) (samples : sample list) : (float * Ast.expr) list =
-  let _, _, base_derr = error_bits_stats ~prec e samples in
+(* The beam search: the original's mean error, and the global top-[keep]
+   scored candidates (best first, the original always in the pool).
+   [improve] takes the head; the regime search branches over the whole
+   set, because the best expression *per input region* is rarely the
+   best overall. *)
+let beam_search ~beam ~depth ~prec ~keep (e : Ast.expr) (samples : sample list)
+    : float * (float * Ast.expr) list =
+  let e0_err, _, base_derr = error_bits_stats ~prec e samples in
   let score e' =
     score_on_context ~prec ~baseline_domain_errors:base_derr e' samples
   in
-  let e0_err = mean_error_bits ~prec e samples in
   let seen = Hashtbl.create 64 in
   let key e = Marshal.to_string e [] in
   Hashtbl.replace seen (key e) ();
@@ -176,13 +176,16 @@ let improve_candidates ?(beam = 8) ?(depth = 4) ?(prec = 256) ?(keep = 6)
     List.iter insert candidates;
     frontier := List.filteri (fun i _ -> i < beam) (List.sort better candidates)
   done;
-  !top
+  (e0_err, !top)
+
+let improve_candidates ?(beam = 8) ?(depth = 4) ?(prec = 256) ?(keep = 6)
+    (e : Ast.expr) (samples : sample list) : (float * Ast.expr) list =
+  snd (beam_search ~beam ~depth ~prec ~keep e samples)
 
 let improve ?(beam = 8) ?(depth = 4) ?(prec = 256) (e : Ast.expr)
     (samples : sample list) : result =
-  let e0_err = mean_error_bits ~prec e samples in
-  match improve_candidates ~beam ~depth ~prec ~keep:1 e samples with
-  | (err_after, improved) :: _ ->
+  match beam_search ~beam ~depth ~prec ~keep:1 e samples with
+  | e0_err, (err_after, improved) :: _ ->
       {
         original = e;
         improved;
@@ -190,7 +193,7 @@ let improve ?(beam = 8) ?(depth = 4) ?(prec = 256) (e : Ast.expr)
         error_after = err_after;
         steps = [];
       }
-  | [] -> assert false
+  | _, [] -> assert false
 
 (* ---------- bridging from the analysis's symbolic expressions ---------- *)
 

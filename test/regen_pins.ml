@@ -7,7 +7,19 @@
    with "wall_s", "stmts_executed" and "traces_materialized" scrubbed.
    Run from the repository root; diff the result before committing —
    a suite extension may only *append/insert* records, never change
-   existing ones. *)
+   existing ones.
+
+   The regime-sweep pin (test/data/regime_sweep_seed42.jsonl, checked by
+   test_regime.ml) is the CLI's seed-42 sweep with "wall_s" dropped from
+   each line:
+
+     dune exec bin/fpgrind_cli.exe -- improve --sweep --regimes \
+       --points 96 --depth 4 --penalty 0.05 --seed 42 --json - 2>/dev/null \
+       | sed -E 's/,"wall_s":[^,}]*\}$/}/' > test/data/regime_sweep_seed42.jsonl
+
+   It pins 256-bit shadow arithmetic, so regenerate it only for a
+   deliberate change to regime inference or rewriting, never to absorb
+   a Bigfloat kernel change. *)
 
 let rec scrub (j : Json.t) : Json.t =
   match j with

@@ -67,13 +67,107 @@ let nat_string_roundtrip () =
     "340282366920938463463374607431768211456"
     (N.to_string (N.pow_int N.two 128))
 
+(* [isqrt] against its definition and against the Newton loop it
+   replaced, with [sqrt_rem]'s remainder checked too. The seeded values
+   run up to 4,000 bits (a 1000-bit [Bigfloat.sqrt] feeds ~2,004-bit
+   operands) and down to the <= 60-bit float-seeded base case; the
+   structured ones sit where a root is exact or one off: powers of two,
+   s^2, s^2 - 1 and s^2 + 2s = (s+1)^2 - 1. *)
 let nat_isqrt () =
-  for _ = 1 to 100 do
-    let a = random_nat (1 + Random.int 400) in
-    let s = N.isqrt a in
-    checkb "s*s <= a" true (N.compare (N.mul s s) a <= 0);
+  let st = Random.State.make [| 0x5eed |] in
+  let random_bits bits =
+    let limbs = (bits + 30) / 31 in
+    let rec build acc i =
+      if i = 0 then acc
+      else
+        build
+          (N.add (N.shift_left acc 31) (N.of_int (Random.State.full_int st (1 lsl 31))))
+          (i - 1)
+    in
+    N.shift_right (build N.zero limbs) ((limbs * 31) - bits)
+  in
+  let check_root what a =
+    let s, r = N.sqrt_rem a in
+    let fail () = Alcotest.failf "isqrt of %s (%s)" (N.to_string a) what in
+    if N.compare (N.mul s s) a > 0 then fail ();
     let s1 = N.add s N.one in
-    checkb "(s+1)^2 > a" true (N.compare (N.mul s1 s1) a > 0)
+    if N.compare (N.mul s1 s1) a <= 0 then fail ();
+    if not (N.equal r (N.sub a (N.mul s s))) then fail ();
+    if not (N.equal (N.isqrt a) s) then fail ();
+    if not (N.equal (N.Reference.isqrt a) s) then fail ()
+  in
+  for _ = 1 to 150 do
+    check_root "random" (random_bits (1 + Random.State.int st 4000))
+  done;
+  for _ = 1 to 300 do
+    check_root "small" (random_bits (1 + Random.State.int st 100))
+  done;
+  for e = 0 to 4000 do
+    if e < 200 || e mod 37 = 0 then check_root "power of two" (N.shift_left N.one e)
+  done;
+  List.iter
+    (fun bits ->
+      let s = random_bits bits in
+      let s = if N.is_zero s then N.one else s in
+      let sq = N.mul s s in
+      check_root "s^2" sq;
+      check_root "s^2 - 1" (N.sub sq N.one);
+      check_root "s^2 + 2s" (N.add sq (N.shift_left s 1));
+      let p = N.shift_left N.one bits in
+      check_root "(2^k)^2 - 1" (N.sub (N.mul p p) N.one))
+    (List.init 60 (fun i -> 1 + i) @ List.init 40 (fun _ -> 1 + Random.State.int st 2000));
+  check_root "zero" N.zero;
+  check_root "one" N.one
+
+(* [horner_div] and [sum_div] against exact rational arithmetic, on the
+   shapes the series kernels feed them: decreasing operands (the powers
+   x^i 2^w, read shifted), small divisors whose runs share one division,
+   and an initial t no larger than the last operand. Each must land
+   within one unit per step of the exact value. *)
+let nat_series_steps () =
+  let st = Random.State.make [| 0x5e7 |] in
+  for _ = 1 to 200 do
+    let n = 1 + Random.State.int st 24 and shift = Random.State.int st 70 in
+    let bits = 40 + Random.State.int st 400 in
+    let ps = Array.make (n + 1) N.zero in
+    ps.(0) <- N.shift_left N.one bits;
+    for i = 1 to n do
+      (* p_i = p_(i-1) x, x < 1/2 *)
+      ps.(i) <- N.shift_right (N.mul ps.(i - 1) (N.of_int (1 + Random.State.int st (1 lsl 29)))) 31
+    done;
+    let small = Random.State.bool st in
+    let ds = Array.init n (fun i -> if small then i + 1 else 1 + Random.State.int st 5000) in
+    let p i = N.shift_right ps.(i) shift in
+    let within what got num den =
+      (* |got - num/den| < n, i.e. |got den - num| < n den *)
+      let gd = N.mul got den in
+      let diff = if N.compare gd num >= 0 then N.sub gd num else N.sub num gd in
+      if N.compare diff (N.mul_int den n) >= 0 then
+        Alcotest.failf "%s: %s vs exact %s / %s" what (N.to_string got) (N.to_string num)
+          (N.to_string den)
+    in
+    List.iter
+      (fun alternating ->
+        (* T_i = p_i +- T_(i+1) / d_i from T_n = p_n, as num / den *)
+        let num = ref (p n) and den = ref N.one in
+        for i = n - 1 downto 0 do
+          let scaled = N.mul (N.mul (p i) !den) (N.of_int ds.(i)) in
+          num := if alternating then N.sub scaled !num else N.add scaled !num;
+          den := N.mul_int !den ds.(i)
+        done;
+        within "horner_div" (N.horner_div ~alternating ~shift ps ds (p n)) !num !den;
+        (* p_n + sum_i s_i p_i / (2i+1) *)
+        let ds = Array.init n (fun i -> (2 * i) + 1) in
+        let den = Array.fold_left N.mul_int N.one ds in
+        let pos = ref (N.mul (p n) den) and neg = ref N.zero in
+        Array.iteri
+          (fun i d ->
+            let term = N.mul (p i) (fst (N.divmod den (N.of_int d))) in
+            if alternating && i land 1 = 1 then neg := N.add !neg term
+            else pos := N.add !pos term)
+          ds;
+        within "sum_div" (N.sum_div ~alternating ~shift ps ds (p n)) (N.sub !pos !neg) den)
+      [ false; true ]
   done
 
 let nat_karatsuba_matches () =
@@ -304,7 +398,7 @@ let math_trig () =
    mantissas, tiny values, near multiples of pi/2 and both sides of the
    reduction's 0.78/0.79 shortcut. *)
 
-let trig_precs = [ 53; 128; 256; 1000; 2000 ]
+let kernel_precs = [ 53; 128; 256; 1000; 2000 ]
 let exact = max_int / 16
 
 let magnitude = function
@@ -366,7 +460,7 @@ let trig_arguments st ~prec =
 
 let trig_kernel_identity () =
   let st = Random.State.make [| 0x7419 |] in
-  let before = M.Reference.fallbacks () in
+  let before = M.Reference.fallbacks `Trig in
   let calls = ref 0 in
   List.iter
     (fun prec ->
@@ -384,8 +478,8 @@ let trig_kernel_identity () =
             [ ("sin", M.sin, M.Reference.sin); ("cos", M.cos, M.Reference.cos);
               ("tan", M.tan, M.Reference.tan) ])
         (trig_arguments st ~prec))
-    trig_precs;
-  let fell = M.Reference.fallbacks () - before in
+    kernel_precs;
+  let fell = M.Reference.fallbacks `Trig - before in
   Printf.printf "trig kernel: %d calls, %d fell back to the reference\n" !calls fell;
   checkb "kernel accepted on at least 99.9% of arguments" true
     (fell * 1000 <= !calls)
@@ -398,9 +492,9 @@ let trig_kernel_fallback () =
   let x = B.make ~neg:false ~mant:(N.add (N.shift_left N.one 53) N.one) ~exp:(-113) in
   List.iter
     (fun (name, fast, reference) ->
-      let before = M.Reference.fallbacks () in
+      let before = M.Reference.fallbacks `Trig in
       let got = fast ~prec:53 x in
-      checki (name ^ " fell back") (before + 1) (M.Reference.fallbacks ());
+      checki (name ^ " fell back") (before + 1) (M.Reference.fallbacks `Trig);
       checkb (name ^ " = reference") true (B.equal got (reference ~prec:53 x)))
     [ ("sin", M.sin, M.Reference.sin); ("tan", M.tan, M.Reference.tan) ]
 
@@ -427,7 +521,9 @@ let trig_reference_bound () =
             (fun (cos, series) ->
               let v = series ~wp r and truth = series ~wp:(wp + 256) r in
               let err = B.abs (B.sub ~prec:exact v truth) in
-              let bound = M.Reference.series_bound ~cos ~wp r truth in
+              let bound =
+                M.Reference.series_bound (if cos then `Cos else `Sin) ~wp r truth
+              in
               if B.gt (B.mul_2exp err 4) bound then
                 Alcotest.failf "%s series at prec %d: error %s > eps_old/16 = %s at r = %s"
                   (if cos then "cos" else "sin") prec
@@ -436,7 +532,176 @@ let trig_reference_bound () =
                   (B.to_decimal_string ~digits:30 r))
             [ (false, M.Reference.sin_series); (true, M.Reference.cos_series) ])
         args)
-    trig_precs
+    kernel_precs
+
+(* ---------- exp/log kernels vs the reference series ---------- *)
+
+(* [exp], [expm1], [log], [log1p] and [atan] must return exactly what
+   their term-by-term reference series return. The arguments aim at the
+   kernels' edges: full-width mantissas, tiny values, values near 1 and
+   either side of [log]'s 0.70 / 1.5 switch to the ln 2 split, near
+   (k + 1/2) ln 2 where [exp]'s reduction flips k (so |r| ~ ln2 / 2),
+   near k ln 2 (so r is tiny), and powers of two (z = 0 in [log]). *)
+
+let exp_arguments st ~prec =
+  let l2 = M.ln2 ~prec:(prec + 96) in
+  let full = List.init 16 (fun _ -> random_full st ~prec (Random.State.int st 6 - 3)) in
+  let wide = List.init 6 (fun _ -> random_full st ~prec (2 + Random.State.int st 8)) in
+  let tiny =
+    List.init 8 (fun _ ->
+        let k = 1 + Random.State.int st 600 in
+        if Random.State.bool st then B.mul_2exp B.one (-k) else random_full st ~prec (-k))
+  in
+  let near_ln2 =
+    List.concat_map
+      (fun _ ->
+        let k = Random.State.int st 2000 - 1000 in
+        let half = B.round ~prec (B.mul ~prec:(prec + 96) (B.of_float (float_of_int k +. 0.5)) l2) in
+        let whole = B.round ~prec (B.mul ~prec:(prec + 96) (B.of_int k) l2) in
+        [ half; ulps_away ~prec half 1; ulps_away ~prec half (-1); whole ])
+      (List.init 4 Fun.id)
+  in
+  full @ wide @ tiny @ near_ln2
+
+let log_arguments st ~prec =
+  let dec s = B.of_decimal_string ~prec s in
+  let positive = List.init 16 (fun _ -> B.abs (random_full st ~prec (Random.State.int st 40 - 20))) in
+  let near_one =
+    List.init 8 (fun _ ->
+        let k = 1 + Random.State.int st 300 in
+        let d = random_full st ~prec (-k) in
+        B.round ~prec (B.add ~prec:exact B.one d))
+  in
+  let edges =
+    List.concat_map
+      (fun c -> [ c; ulps_away ~prec c 1; ulps_away ~prec c (-1) ])
+      [ dec "0.70"; dec "1.5"; B.one ]
+  in
+  let powers = [ B.two; B.half; B.mul_2exp B.one 1000; B.mul_2exp B.one (-1000) ] in
+  positive @ near_one @ edges @ powers
+
+(* arguments of [atan]: both sides of 1 (where it switches to 1/x), of
+   2^-9 (where it stops halving the angle), tiny and huge values *)
+let atan_arguments st ~prec =
+  let full = List.init 10 (fun _ -> random_full st ~prec (Random.State.int st 8 - 4)) in
+  let edges =
+    List.concat_map
+      (fun c -> [ c; ulps_away ~prec c 1; ulps_away ~prec c (-1) ])
+      [ B.one; B.mul_2exp B.one (-9) ]
+  in
+  let far = List.init 4 (fun _ -> random_full st ~prec (if Random.State.bool st then -200 else 200)) in
+  full @ edges @ far
+
+(* arguments of [expm1] and [log1p]: mostly in their small-argument
+   series range |x| < 1/4, some beyond it *)
+let small_arguments st ~prec =
+  List.init 12 (fun _ -> random_full st ~prec (-2 - Random.State.int st 4))
+  @ List.init 6 (fun _ -> random_full st ~prec (-Random.State.int st 300))
+  @ List.init 4 (fun _ -> B.abs (random_full st ~prec (Random.State.int st 4)))
+
+let exp_log_kernel_identity () =
+  let st = Random.State.make [| 0xe4b |] in
+  let kinds = [ (`Exp, "exp/expm1"); (`Log, "log/log1p"); (`Atan, "atan") ] in
+  let before = List.map (fun (k, name) -> (k, name, M.Reference.fallbacks k)) kinds in
+  let calls = Hashtbl.create 2 in
+  List.iter
+    (fun prec ->
+      let exp_args = exp_arguments st ~prec and small = small_arguments st ~prec in
+      let log_args = log_arguments st ~prec and atan_args = atan_arguments st ~prec in
+      List.iter
+        (fun (name, kind, fast, reference, args) ->
+          List.iter
+            (fun x ->
+              Hashtbl.replace calls kind (1 + Option.value ~default:0 (Hashtbl.find_opt calls kind));
+              let got = fast ~prec x and want = reference ~prec x in
+              if not (B.equal got want && B.is_negative got = B.is_negative want)
+              then
+                Alcotest.failf "%s at prec %d differs from the reference at %s" name
+                  prec (B.to_decimal_string ~digits:40 x))
+            args)
+        [
+          ("exp", `Exp, M.exp, M.Reference.exp, exp_args);
+          ("expm1", `Exp, M.expm1, M.Reference.expm1, small);
+          ("log", `Log, M.log, M.Reference.log, log_args);
+          ("log1p", `Log, M.log1p, M.Reference.log1p, small);
+          ("atan", `Atan, M.atan, M.Reference.atan, atan_args);
+        ])
+    kernel_precs;
+  List.iter
+    (fun (kind, name, b) ->
+      let n = Hashtbl.find calls kind and fell = M.Reference.fallbacks kind - b in
+      Printf.printf "%s kernel: %d calls, %d fell back to the reference\n" name n fell;
+      checkb (name ^ " kernel accepted on at least 99.9% of arguments") true
+        (fell * 1000 <= n))
+    before
+
+(* Each case puts the true result within ~2^-50 relative of a rounding
+   midpoint at 53 bits, far inside the kernel's error interval, so the
+   kernel cannot decide: the reference must run and its answer be
+   returned. exp (2^-53) = 1 + 2^-53 + 2^-107..., log1p of the midpoint
+   x = 2^-100 (1 + 2^-53) is x - x^2/2..., and the inverse function of a
+   53-bit midpoint m rounded to 400 bits maps back to m within 2^-390:
+   expm1 (log1p m), log (exp m) on both of [log]'s paths, and atan (tan m)
+   on both sides of 1. (expm1 of the tiny midpoint would not do: its
+   working precision grows with -mag x, which shrinks E below x^2/2.) *)
+let exp_log_kernel_fallback () =
+  let mid53 x = B.make ~neg:false ~mant:(N.add (N.shift_left N.one 53) N.one) ~exp:x in
+  let exp_of m = B.round ~prec:400 (M.exp ~prec:420 m) in
+  let tan_of m = B.round ~prec:400 (M.tan ~prec:420 m) in
+  List.iter
+    (fun (name, kind, fast, reference, x) ->
+      let before = M.Reference.fallbacks kind in
+      let got = fast ~prec:53 x in
+      checki (name ^ " fell back") (before + 1) (M.Reference.fallbacks kind);
+      checkb (name ^ " = reference") true (B.equal got (reference ~prec:53 x)))
+    [
+      ("exp", `Exp, M.exp, M.Reference.exp, B.mul_2exp B.one (-53));
+      ("expm1", `Exp, M.expm1, M.Reference.expm1,
+        B.round ~prec:400 (M.log1p ~prec:420 (mid53 (-56))));
+      ("log1p", `Log, M.log1p, M.Reference.log1p, mid53 (-153));
+      ("log", `Log, M.log, M.Reference.log, exp_of (mid53 (-51)));
+      ("log near 1", `Log, M.log, M.Reference.log, exp_of (mid53 (-56)));
+      ("atan", `Atan, M.atan, M.Reference.atan, tan_of (mid53 (-54)));
+      ("atan of x > 1", `Atan, M.atan, M.Reference.atan, tan_of (mid53 (-53)));
+    ]
+
+(* The identity proof assumes each reference series is within eps_old of
+   the true value. Measure it against the same series 256 bits wider on
+   full-width arguments up to each series' largest reduced argument and
+   on smaller ones below 2^emax, and demand a 16x margin. *)
+let exp_log_reference_bound () =
+  let st = Random.State.make [| 0xe7b |] in
+  List.iter
+    (fun prec ->
+      let wp = prec + 32 in
+      let scaled c =
+        B.mul ~prec:wp (B.of_float c)
+          (B.make ~neg:(Random.State.bool st) ~mant:(random_mant st wp) ~exp:(-wp))
+      in
+      let args c emax =
+        List.init 15 (fun _ -> scaled c)
+        @ List.init 5 (fun _ -> random_full st ~prec:wp (emax - Random.State.int st 300))
+      in
+      List.iter
+        (fun (name, series, kind, range, emax) ->
+          List.iter
+            (fun r ->
+              let v = series ~wp r and truth = series ~wp:(wp + 256) r in
+              let err = B.abs (B.sub ~prec:exact v truth) in
+              let bound = M.Reference.series_bound kind ~wp r truth in
+              if B.gt (B.mul_2exp err 4) bound then
+                Alcotest.failf "%s series at prec %d: error %s > eps_old/16 = %s at r = %s"
+                  name prec (B.to_decimal_string err)
+                  (B.to_decimal_string (B.mul_2exp bound (-4)))
+                  (B.to_decimal_string ~digits:30 r))
+            (args range emax))
+        [
+          ("exp", M.Reference.exp_series, `Exp, 0.35, -1);
+          ("expm1", M.Reference.expm1_series, `Expm1, 0.25, -2);
+          ("atanh2", M.Reference.atanh2_series, `Atanh2, 0.34, -1);
+          ("atan", M.Reference.atan_series, `Atan, 0.0031, -9);
+        ])
+    kernel_precs
 
 let math_inverse_trig () =
   let inputs = [ 0.5; -0.5; 0.999; -0.999; 0.001; 1.0; -1.0; 0.0 ] in
@@ -554,6 +819,7 @@ let () =
           Alcotest.test_case "divmod property" `Quick nat_divmod_property;
           Alcotest.test_case "string roundtrip" `Quick nat_string_roundtrip;
           Alcotest.test_case "isqrt" `Quick nat_isqrt;
+          Alcotest.test_case "series steps" `Quick nat_series_steps;
           Alcotest.test_case "karatsuba matches" `Quick nat_karatsuba_matches;
           Alcotest.test_case "shifts" `Quick nat_shifts;
           Alcotest.test_case "to_float" `Quick nat_to_float;
@@ -587,6 +853,10 @@ let () =
           Alcotest.test_case "trig kernel = reference" `Quick trig_kernel_identity;
           Alcotest.test_case "trig kernel fallback" `Quick trig_kernel_fallback;
           Alcotest.test_case "trig reference bound" `Quick trig_reference_bound;
+          Alcotest.test_case "exp/log/atan kernel = reference" `Quick
+            exp_log_kernel_identity;
+          Alcotest.test_case "exp/log/atan kernel fallback" `Quick exp_log_kernel_fallback;
+          Alcotest.test_case "exp/log/atan reference bound" `Quick exp_log_reference_bound;
           Alcotest.test_case "inverse trig" `Quick math_inverse_trig;
           Alcotest.test_case "atan2" `Quick math_atan2;
           Alcotest.test_case "hyperbolic" `Quick math_hyperbolic;

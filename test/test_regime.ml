@@ -163,6 +163,35 @@ let test_error_table_pin () =
   let r = Regime.infer ~seed:42 (bench "intro-example") in
   Alcotest.(check string) "pinned table" expected_table (Regime.table r)
 
+(* Byte-level pin of the whole official sweep: [Regime.to_json] of every
+   straight-line benchmark at seed 42, as `fpgrind improve --sweep
+   --regimes --points 96 --depth 4 --penalty 0.05 --seed 42 --json -`
+   prints it minus "wall_s". Every score is a mean over 256-bit shadow
+   evaluations, so a Bigfloat kernel that changed one rounding moves a
+   line here; test/regen_pins.ml says how to regenerate the file. *)
+let read_lines path =
+  let ic = open_in path in
+  let rec go acc =
+    match input_line ic with
+    | line -> go (line :: acc)
+    | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+  in
+  go []
+
+let test_sweep_pin () =
+  let want = read_lines "data/regime_sweep_seed42.jsonl" in
+  let benches = List.filter (fun b -> b.Suite.group = `Straight) Suite.all in
+  Alcotest.(check int) "one line per program" (List.length want) (List.length benches);
+  List.iter2
+    (fun w b ->
+      let got = Json.to_string (Regime.to_json (infer_official b)) in
+      if got <> w then
+        Alcotest.failf "%s diverges from the pinned sweep\nwant: %s\ngot:  %s"
+          b.Suite.name w got)
+    want benches
+
 let () =
   Alcotest.run "regime"
     [
@@ -188,5 +217,8 @@ let () =
             test_overfit_trio_sound;
         ] );
       ( "table",
-        [ Alcotest.test_case "pinned error table" `Quick test_error_table_pin ] );
+        [
+          Alcotest.test_case "pinned error table" `Quick test_error_table_pin;
+          Alcotest.test_case "pinned seed-42 sweep" `Quick test_sweep_pin;
+        ] );
     ]
