@@ -244,8 +244,8 @@ let div ~prec x y =
   | Fin a, Fin b ->
       let la = N.bit_length a.mant and lb = N.bit_length b.mant in
       let s = max 0 (prec + 2 + lb - la) in
-      let q, r = N.divmod (N.shift_left a.mant s) b.mant in
-      round_raw ~prec ~sticky:(not (N.is_zero r)) (a.neg <> b.neg) q
+      let q, exact = N.quot_exact (N.shift_left a.mant s) b.mant in
+      round_raw ~prec ~sticky:(not exact) (a.neg <> b.neg) q
         (a.exp - b.exp - s)
 
 (* Division by a machine-integer divisor: bit-identical to
@@ -364,32 +364,36 @@ let to_float t =
   | Inf true -> Float.neg_infinity
   | Zero false -> 0.0
   | Zero true -> -0.0
-  | Fin f -> begin
-      let signf v = if f.neg then -.v else v in
-      let mag = magnitude f in
-      if mag > 1025 then signf Float.infinity
-      else if mag < -1080 then signf 0.0
-      else begin
-        (* Round to an integer multiple of 2^q where q is the value's
-           quantum: -1074 in the subnormal range, mag - 53 otherwise. *)
-        let q = max (-1074) (mag - 53) in
-        let v =
-          if f.exp >= q then
-            ldexp (N.to_float (N.shift_left f.mant (f.exp - q))) q
+  | Fin f ->
+      let bl = N.bit_length f.mant in
+      let mag = f.exp + bl in
+      let v =
+        if mag > 1025 then Float.infinity
+        else if mag < -1080 then 0.0
+        else begin
+          (* Round to an integer multiple of 2^q where q is the value's
+             quantum: -1074 in the subnormal range, mag - 53 otherwise.
+             The multiple has at most 53 bits, so it is read straight
+             out of the mantissa, and the round-to-nearest-even decision
+             is [round_raw]'s: the round bit, then any bit below it or
+             the parity of the kept part. *)
+          let q = max (-1074) (mag - 53) in
+          let drop = q - f.exp in
+          if drop <= 0 then
+            ldexp (float_of_int (N.extract_int f.mant 0 bl)) f.exp
           else begin
-            let drop = q - f.exp in
-            let keep = N.shift_right f.mant drop in
-            let low = N.sub f.mant (N.shift_left keep drop) in
-            let halfway = N.shift_left N.one (drop - 1) in
-            let c = N.compare low halfway in
-            let up = if c > 0 then true else if c < 0 then false else N.testbit keep 0 in
-            let keep = if up then N.add keep N.one else keep in
-            ldexp (N.to_float keep) q
+            let keep =
+              if drop >= bl then 0 else N.extract_int f.mant drop (bl - drop)
+            in
+            let up =
+              N.testbit f.mant (drop - 1)
+              && (N.any_bit_below f.mant (drop - 1) || keep land 1 = 1)
+            in
+            ldexp (float_of_int (if up then keep + 1 else keep)) q
           end
-        in
-        signf v
-      end
-    end
+        end
+      in
+      if f.neg then -.v else v
 
 let to_bigint t =
   match t with

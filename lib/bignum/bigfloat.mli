@@ -90,8 +90,10 @@ val of_float : float -> t
 (** Exact conversion from an IEEE double. *)
 
 val to_float : t -> float
-(** Round to the nearest IEEE double (overflow to infinity, gradual
-    underflow to subnormals and zero). *)
+(** Round to the nearest IEEE double, ties to even (overflow to
+    infinity, gradual underflow to subnormals and zero). Builds no
+    temporary naturals: the rounding reads the round bit, the sticky
+    bits and at most 53 kept bits straight from the mantissa. *)
 
 val of_int : int -> t
 val of_bigint : Bigint.t -> t

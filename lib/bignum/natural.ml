@@ -59,21 +59,35 @@ let compare (a : t) (b : t) =
     in
     go (la - 1)
 
+(* The results below are allocated at their exact size whenever the top
+   limbs decide it, so most cost one allocation and no [normalize] copy.
+   Only a top limb that sits exactly on the boundary (a sum of base - 1,
+   a product whose carry-in decides the spill) gets the spare limb and
+   the copy. *)
+
 let add (a : t) (b : t) : t =
+  let a, b = if Array.length a >= Array.length b then (a, b) else (b, a) in
   let la = Array.length a and lb = Array.length b in
-  let lr = max la lb + 1 in
-  let r = Array.make lr 0 in
-  let carry = ref 0 in
-  for i = 0 to lr - 1 do
-    let s =
-      (if i < la then Array.unsafe_get a i else 0)
-      + (if i < lb then Array.unsafe_get b i else 0)
-      + !carry
-    in
-    Array.unsafe_set r i (s land limb_mask);
-    carry := s lsr base_bits
-  done;
-  normalize r
+  if lb = 0 then a
+  else begin
+    (* the carry into limb la is 1 when the top sum reaches base, 0
+       below base - 1, and decided by the lower limbs at base - 1 *)
+    let top = a.(la - 1) + if lb = la then b.(la - 1) else 0 in
+    let lr = if top >= base - 1 then la + 1 else la in
+    let r = Array.make lr 0 in
+    let carry = ref 0 in
+    for i = 0 to la - 1 do
+      let s =
+        Array.unsafe_get a i
+        + (if i < lb then Array.unsafe_get b i else 0)
+        + !carry
+      in
+      Array.unsafe_set r i (s land limb_mask);
+      carry := s lsr base_bits
+    done;
+    if lr > la then r.(la) <- !carry;
+    if top = base - 1 then normalize r else r
+  end
 
 let sub (a : t) (b : t) : t =
   if compare a b < 0 then invalid_arg "Natural.sub: underflow";
@@ -102,15 +116,20 @@ let mul_int (a : t) (k : int) : t =
   if k = 0 || is_zero a then zero
   else if k < base then begin
     let la = Array.length a in
-    let r = Array.make (la + 1) 0 in
+    (* the spill into limb la is (a_top * k + c) / base for a carry-in
+       c < k: certain when a_top * k alone reaches base, impossible when
+       a_top * k + k - 1 stays below it *)
+    let lo = a.(la - 1) * k in
+    let lr = if lo + k - 1 >= base then la + 1 else la in
+    let r = Array.make lr 0 in
     let carry = ref 0 in
     for i = 0 to la - 1 do
       let p = (Array.unsafe_get a i * k) + !carry in
       Array.unsafe_set r i (p land limb_mask);
       carry := p lsr base_bits
     done;
-    r.(la) <- !carry;
-    normalize r
+    if lr > la then r.(la) <- !carry;
+    if lr > la && lo < base then normalize r else r
   end
   else invalid_arg "Natural.mul_int: factor too large"
 
@@ -214,6 +233,7 @@ let all_ones_between (a : t) (lo : int) (hi : int) =
   go lo
 
 let is_even (a : t) = is_zero a || a.(0) land 1 = 0
+let canonical (a : t) = is_zero a || a.(Array.length a - 1) <> 0
 
 let shift_left (a : t) (n : int) : t =
   if n < 0 then invalid_arg "Natural.shift_left: negative";
@@ -446,12 +466,17 @@ let trailing_zeros (a : t) =
    relative error — three roundings at ~2^-53 each — is under 2^-50,
    hence off by at most 1 after truncation, and a single fixup in each
    direction restores exactness. *)
-let quot_into (q : int array) (b : t) (k : int) : int =
+let check_divisor k =
   if k <= 0 then invalid_arg "Natural.divmod_int: non-positive divisor";
-  if k >= base then invalid_arg "Natural.divmod_int: divisor too large";
-  let rem = ref 0 in
+  if k >= base then invalid_arg "Natural.divmod_int: divisor too large"
+
+(* [quot_into]'s loop over limbs [top] down to 0 of [b], entering with
+   remainder [rem0 < k] *)
+let quot_range (q : int array) (b : t) (k : int) (top : int) (rem0 : int) :
+    int =
+  let rem = ref rem0 in
   let ik = 1.0 /. float_of_int k in
-  for i = Array.length b - 1 downto 0 do
+  for i = top downto 0 do
     let cur = (!rem lsl base_bits) lor Array.unsafe_get b i in
     let qi = int_of_float (float_of_int cur *. ik) in
     let r = cur - (qi * k) in
@@ -462,10 +487,24 @@ let quot_into (q : int array) (b : t) (k : int) : int =
   done;
   !rem
 
+let quot_into (q : int array) (b : t) (k : int) : int =
+  check_divisor k;
+  quot_range q b k (Array.length b - 1) 0
+
+(* The quotient's top limb is zero exactly when a's is below k, and the
+   limb under it is then nonzero (a_top >= 1 makes cur >= base > k), so
+   the quotient is allocated at its exact size. *)
 let divmod_int (a : t) (k : int) : t * int =
-  let q = Array.make (Array.length a) 0 in
-  let rem = quot_into q a k in
-  (normalize q, rem)
+  check_divisor k;
+  let la = Array.length a in
+  if la = 0 then (zero, 0)
+  else begin
+    let skip = a.(la - 1) < k in
+    let top = if skip then la - 2 else la - 1 in
+    let q = Array.make (top + 1) 0 in
+    let rem = quot_range q a k top (if skip then a.(la - 1) else 0) in
+    (q, rem)
+  end
 
 (* ---------- in-place fixed-point series steps ----------
 
@@ -652,69 +691,71 @@ let divshift_int (a : t) (s : int) (k : int) : t * int =
   end
 
 (* Knuth algorithm D (TAOCP vol. 2, 4.3.1). Divisor normalized so its top
-   limb has the high bit set, which bounds the qhat correction loop. *)
-let divmod_knuth (a : t) (b : t) : t * t =
+   limb has the high bit set, which bounds the qhat correction loop.
+   Returns the quotient, and the remainder shifted left by [shift] in
+   limbs [0, n) of the returned window; callers that only test the
+   remainder for zero never shift it back. Requires a >= b and at least
+   two limbs in b. *)
+let knuth (a : t) (b : t) : t * int array * int =
   let n = Array.length b in
   let shift = base_bits - (bit_length b - ((n - 1) * base_bits)) in
-  let u0 = shift_left a shift and v = shift_left b shift in
+  let v = shift_left b shift in
   assert (Array.length v = n);
-  let m = Array.length u0 - n in
-  if m < 0 then (zero, a)
-  else begin
-    (* u gets one extra high limb for the running remainder window *)
-    let u = Array.make (Array.length u0 + 1) 0 in
-    Array.blit u0 0 u 0 (Array.length u0);
-    let q = Array.make (m + 1) 0 in
-    let vtop = v.(n - 1) in
-    let vsec = if n >= 2 then v.(n - 2) else 0 in
-    for j = m downto 0 do
-      let num = (u.(j + n) lsl base_bits) lor u.(j + n - 1) in
-      let qhat = ref (num / vtop) and rhat = ref (num mod vtop) in
-      if !qhat >= base then begin
-        qhat := base - 1;
-        rhat := num - ((base - 1) * vtop)
-      end;
-      (* n >= 2 always holds here: single-limb divisors use divmod_int. *)
-      while
-        !rhat < base && !qhat * vsec > (!rhat lsl base_bits) lor u.(j + n - 2)
-      do
-        decr qhat;
-        rhat := !rhat + vtop
-      done;
-      (* multiply-subtract u[j..j+n] -= qhat * v *)
-      let borrow = ref 0 and carry = ref 0 in
-      for i = 0 to n - 1 do
-        let p = (!qhat * Array.unsafe_get v i) + !carry in
-        carry := p lsr base_bits;
-        let d = Array.unsafe_get u (i + j) - (p land limb_mask) - !borrow in
-        if d < 0 then begin
-          Array.unsafe_set u (i + j) (d + base);
-          borrow := 1
-        end
-        else begin
-          Array.unsafe_set u (i + j) d;
-          borrow := 0
-        end
-      done;
-      let d = u.(j + n) - !carry - !borrow in
-      if d < 0 then begin
-        (* qhat was one too large: add back one copy of v *)
-        u.(j + n) <- d + base;
-        decr qhat;
-        let c = ref 0 in
-        for i = 0 to n - 1 do
-          let s = u.(i + j) + v.(i) + !c in
-          u.(i + j) <- s land limb_mask;
-          c := s lsr base_bits
-        done;
-        u.(j + n) <- (u.(j + n) + !c) land limb_mask
-      end
-      else u.(j + n) <- d;
-      q.(j) <- !qhat
+  (* u is a << shift, written in place, plus one extra high limb for the
+     running remainder window *)
+  let la = Array.length a in
+  let u = Array.make (la + 2) 0 in
+  write_shifted a 0 shift u;
+  let m = (if u.(la) <> 0 then la + 1 else la) - n in
+  let q = Array.make (m + 1) 0 in
+  let vtop = v.(n - 1) in
+  let vsec = if n >= 2 then v.(n - 2) else 0 in
+  for j = m downto 0 do
+    let num = (u.(j + n) lsl base_bits) lor u.(j + n - 1) in
+    let qhat = ref (num / vtop) and rhat = ref (num mod vtop) in
+    if !qhat >= base then begin
+      qhat := base - 1;
+      rhat := num - ((base - 1) * vtop)
+    end;
+    (* n >= 2 always holds here: single-limb divisors use divmod_int. *)
+    while
+      !rhat < base && !qhat * vsec > (!rhat lsl base_bits) lor u.(j + n - 2)
+    do
+      decr qhat;
+      rhat := !rhat + vtop
     done;
-    let r = normalize (Array.sub u 0 n) in
-    (normalize q, shift_right r shift)
-  end
+    (* multiply-subtract u[j..j+n] -= qhat * v *)
+    let borrow = ref 0 and carry = ref 0 in
+    for i = 0 to n - 1 do
+      let p = (!qhat * Array.unsafe_get v i) + !carry in
+      carry := p lsr base_bits;
+      let d = Array.unsafe_get u (i + j) - (p land limb_mask) - !borrow in
+      if d < 0 then begin
+        Array.unsafe_set u (i + j) (d + base);
+        borrow := 1
+      end
+      else begin
+        Array.unsafe_set u (i + j) d;
+        borrow := 0
+      end
+    done;
+    let d = u.(j + n) - !carry - !borrow in
+    if d < 0 then begin
+      (* qhat was one too large: add back one copy of v *)
+      u.(j + n) <- d + base;
+      decr qhat;
+      let c = ref 0 in
+      for i = 0 to n - 1 do
+        let s = u.(i + j) + v.(i) + !c in
+        u.(i + j) <- s land limb_mask;
+        c := s lsr base_bits
+      done;
+      u.(j + n) <- (u.(j + n) + !c) land limb_mask
+    end
+    else u.(j + n) <- d;
+    q.(j) <- !qhat
+  done;
+  (normalize q, u, shift)
 
 let divmod (a : t) (b : t) : t * t =
   if is_zero b then raise Division_by_zero;
@@ -723,7 +764,23 @@ let divmod (a : t) (b : t) : t * t =
     let q, r = divmod_int a b.(0) in
     (q, of_int r)
   end
-  else divmod_knuth a b
+  else begin
+    let q, u, shift = knuth a b in
+    (q, shift_right (normalize (Array.sub u 0 (Array.length b))) shift)
+  end
+
+let quot_exact (a : t) (b : t) : t * bool =
+  if is_zero b then raise Division_by_zero;
+  if compare a b < 0 then (zero, is_zero a)
+  else if Array.length b = 1 then begin
+    let q, r = divmod_int a b.(0) in
+    (q, r = 0)
+  end
+  else begin
+    let q, u, _ = knuth a b in
+    let rec zero_below i = i < 0 || (u.(i) = 0 && zero_below (i - 1)) in
+    (q, zero_below (Array.length b - 1))
+  end
 
 (* [(a lsr lo) mod 2^len], in one allocation. *)
 let extract (a : t) (lo : int) (len : int) : t =

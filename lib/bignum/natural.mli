@@ -40,6 +40,11 @@ val divmod : t -> t -> t * t
 (** [divmod a b] is [(q, r)] with [a = q*b + r] and [0 <= r < b]. Raises
     [Division_by_zero] when [b] is zero. *)
 
+val quot_exact : t -> t -> t * bool
+(** [quot_exact a b] is [(q, r = 0)] for [(q, r) = divmod a b], without
+    materializing [r]: {!Bigfloat.div} only needs its sticky bit. Raises
+    [Division_by_zero] when [b] is zero. *)
+
 val divmod_int : t -> int -> t * int
 (** [divmod_int a k] divides by a small positive int. *)
 
@@ -89,6 +94,11 @@ val any_bit_below : t -> int -> bool
 (** [any_bit_below n i] is true when some bit strictly below position [i]
     is set. O(1) on odd values. *)
 
+val extract_int : t -> int -> int -> int
+(** [extract_int n lo len] is bits [\[lo, lo + len)] of [n] as an [int],
+    for [0 <= len <= 62]; one pass over at most three limbs, no
+    allocation. *)
+
 val mul_round : prec:int -> t -> t -> (t * int) option
 (** [mul_round ~prec a b] computes [a*b] rounded to nearest at [prec]
     significant bits via a short product, returning [Some (mant, shift)]
@@ -101,6 +111,11 @@ val mul_round : prec:int -> t -> t -> (t * int) option
     product. *)
 
 val is_even : t -> bool
+
+val canonical : t -> bool
+(** No zero top limb: the representation invariant that [equal] and
+    [compare] rely on. Every operation's result satisfies it; exposed
+    for tests. *)
 
 val trailing_zeros : t -> int
 (** Number of low zero bits; raises [Invalid_argument] on zero. *)

@@ -18,7 +18,17 @@
 
    Value equality across instances is tracked exactly up to [equiv_depth]
    by hashing the per-instance values of each position; deeper positions
-   keep only the cheap constant check (section 6.4). *)
+   keep only the cheap constant check (section 6.4).
+
+   Every position's signature lives in [sigs] under its path from the
+   root, which is what [finalize] reads. Folding a trace in does not
+   touch paths: the first trace fixes the set of positions (its lifted
+   shape), and later traces can only turn operations into holes, so the
+   positions only ever shrink. [slots] holds the current shape's
+   signatures in preorder, and a trace is folded in by walking shape and
+   trace together in that order. The index is rebuilt only when the
+   shape changes, which [antiunify_shape] signals by returning a new
+   shape rather than its argument. *)
 
 type shape = SOp of string * shape array | SHole
 
@@ -34,11 +44,18 @@ type agg = {
   mutable shape : shape;
   mutable count : int;
   sigs : (int list, psig) Hashtbl.t;  (* key: path from root, outer first *)
+  mutable slots : psig array;  (* [shape]'s positions, in preorder *)
   equiv_depth : int;
 }
 
 let create ~equiv_depth =
-  { shape = SHole; count = 0; sigs = Hashtbl.create 16; equiv_depth }
+  {
+    shape = SHole;
+    count = 0;
+    sigs = Hashtbl.create 16;
+    slots = [||];
+    equiv_depth;
+  }
 
 (* ---------- adding one concrete trace ---------- *)
 
@@ -46,63 +63,98 @@ let rec lift (t : Trace.node) : shape =
   if Trace.is_leaf t then SHole
   else SOp (t.Trace.op, Array.map lift t.Trace.args)
 
+(* The generalization of [s] and [t]; [s] itself, physically, when [t]
+   fits it, so callers detect a change with [!=]. *)
 let rec antiunify_shape (s : shape) (t : Trace.node) : shape =
   match s with
-  | SHole -> SHole
+  | SHole -> s
   | SOp (f, args) ->
-      if
-        (not (Trace.is_leaf t))
-        && t.Trace.op = f
-        && Array.length t.Trace.args = Array.length args
-      then SOp (f, Array.mapi (fun i a -> antiunify_shape a t.Trace.args.(i)) args)
-      else SHole
+      let n = Array.length args in
+      if Trace.is_leaf t || t.Trace.op <> f || Array.length t.Trace.args <> n
+      then SHole
+      else begin
+        let rec scan i =
+          if i = n then s
+          else begin
+            let a = args.(i) in
+            let a' = antiunify_shape a t.Trace.args.(i) in
+            if a' == a then scan (i + 1)
+            else begin
+              let args' = Array.copy args in
+              args'.(i) <- a';
+              for j = i + 1 to n - 1 do
+                args'.(j) <- antiunify_shape args.(j) t.Trace.args.(j)
+              done;
+              SOp (f, args')
+            end
+          end
+        in
+        scan 0
+      end
 
-(* record the exact-value key at every position still present in the shape *)
-let update_sigs agg (t : Trace.node) =
-  let rec go s (t : Trace.node) path depth =
-    let v = t.Trace.value and k = t.Trace.key in
-    (match Hashtbl.find_opt agg.sigs path with
-    | Some ps ->
-        if ps.const && ps.ckey <> k then ps.const <- false;
-        if depth <= agg.equiv_depth then ps.h <- (ps.h * 1000003) + k
-    | None ->
-        if agg.count = 0 then
-          Hashtbl.replace agg.sigs path
-            { cval = v; ckey = k; const = true; h = k; live = true });
+(* the first trace: one signature per position of its lifted shape *)
+let init_sigs agg (t : Trace.node) =
+  let rec go s (t : Trace.node) path =
+    let k = t.Trace.key in
+    Hashtbl.replace agg.sigs path
+      { cval = t.Trace.value; ckey = k; const = true; h = k; live = true };
     match s with
     | SHole -> ()
     | SOp (_, args) ->
-        Array.iteri
-          (fun i a -> go a t.Trace.args.(i) (path @ [ i ]) (depth + 1))
-          args
+        Array.iteri (fun i a -> go a t.Trace.args.(i) (path @ [ i ])) args
   in
-  go agg.shape t [] 1
+  go agg.shape t []
 
-(* positions that fell out of the shape stop being tracked *)
-let kill_dead_sigs agg =
-  let alive = Hashtbl.create 16 in
-  let rec collect s path =
-    Hashtbl.replace alive path ();
+(* Index the shape's positions in preorder. Their signatures all exist
+   since the first trace; the ones that fell out of the shape stop being
+   tracked. *)
+let reindex agg =
+  Hashtbl.iter (fun _ ps -> ps.live <- false) agg.sigs;
+  let slots = ref [] in
+  let rec go s path =
+    let ps = Hashtbl.find agg.sigs path in
+    ps.live <- true;
+    slots := ps :: !slots;
     match s with
     | SHole -> ()
-    | SOp (_, args) -> Array.iteri (fun i a -> collect a (path @ [ i ])) args
+    | SOp (_, args) -> Array.iteri (fun i a -> go a (path @ [ i ])) args
   in
-  collect agg.shape [];
-  Hashtbl.iter
-    (fun path ps -> if not (Hashtbl.mem alive path) then ps.live <- false)
-    agg.sigs
+  go agg.shape [];
+  agg.slots <- Array.of_list (List.rev !slots)
+
+(* record the exact-value key at every position still present in the
+   shape, visiting positions in the preorder of [slots] *)
+let update_sigs agg (t : Trace.node) =
+  let slots = agg.slots and equiv_depth = agg.equiv_depth in
+  let next = ref 0 in
+  let rec go s (t : Trace.node) depth =
+    let ps = Array.unsafe_get slots !next in
+    incr next;
+    let k = t.Trace.key in
+    if ps.const && ps.ckey <> k then ps.const <- false;
+    if depth <= equiv_depth then ps.h <- (ps.h * 1000003) + k;
+    match s with
+    | SHole -> ()
+    | SOp (_, args) ->
+        for i = 0 to Array.length args - 1 do
+          go args.(i) t.Trace.args.(i) (depth + 1)
+        done
+  in
+  go agg.shape t 1
 
 let add agg (t : Trace.node) =
   if agg.count = 0 then begin
     agg.shape <- lift t;
-    update_sigs agg t
+    init_sigs agg t;
+    reindex agg
   end
   else begin
     let s' = antiunify_shape agg.shape t in
-    let changed = s' <> agg.shape in
-    agg.shape <- s';
-    update_sigs agg t;
-    if changed then kill_dead_sigs agg
+    if s' != agg.shape then begin
+      agg.shape <- s';
+      reindex agg
+    end;
+    update_sigs agg t
   end;
   agg.count <- agg.count + 1
 

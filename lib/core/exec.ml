@@ -110,13 +110,13 @@ let spot_entry st id loc kind =
 
 (* ---------- error metrics ---------- *)
 
-let out_error st (client : float) (real : B.t) ~single =
+(* [near] is the exact value already rounded to a double (a shadow's
+   [near] field) *)
+let out_error st (client : float) (near : float) ~single =
   if not st.cfg.Config.enable_reals then 0.0
-  else begin
-    let rf = B.to_float real in
-    if single then Ieee.Single.bits_of_error client (Ieee.Single.of_double rf)
-    else Ieee.bits_of_error client rf
-  end
+  else if single then
+    Ieee.Single.bits_of_error client (Ieee.Single.of_double near)
+  else Ieee.bits_of_error client near
 
 (* ---------- the float operation core ----------
 
@@ -141,18 +141,16 @@ let do_op st ~stmt_id ~loc ~name ~single ~(client : float)
       real_fn (Array.map (fun s -> s.Shadow.real) shadows)
     else B.of_float client
   in
+  let near = B.to_float real in
   (* local error: round the exact inputs to floats, run the op in client
      arithmetic, compare with the rounded exact result *)
   let local_err =
     if not cfg.Config.enable_reals then 0.0
     else begin
-      let round v =
-        let f = B.to_float v in
-        if single then Ieee.Single.of_double f else f
-      in
-      let rounded_args = Array.map (fun s -> round s.Shadow.real) shadows in
+      let round f = if single then Ieee.Single.of_double f else f in
+      let rounded_args = Array.map (fun s -> round s.Shadow.near) shadows in
       let r_f = client_fn rounded_args in
-      let r_r = round real in
+      let r_r = round near in
       if single then Ieee.Single.bits_of_error r_f r_r
       else Ieee.bits_of_error r_f r_r
     end
@@ -180,9 +178,9 @@ let do_op st ~stmt_id ~loc ~name ~single ~(client : float)
             let s = shadows.(i) in
             if B.equal real s.Shadow.real then begin
               let arg_err =
-                out_error st (Shadow.client_value s) s.Shadow.real ~single
+                out_error st (Shadow.client_value s) s.Shadow.near ~single
               in
-              let out_err = out_error st client real ~single in
+              let out_err = out_error st client near ~single in
               if out_err < arg_err then Some s else None
             end
             else None
@@ -199,7 +197,7 @@ let do_op st ~stmt_id ~loc ~name ~single ~(client : float)
              longer reduce output error. This is what keeps Triangle's 225
              compensated computations out of the report (section 7). *)
           st.compensations <- st.compensations + 1;
-          if out_error st client real ~single <= cfg.Config.error_threshold
+          if out_error st client near ~single <= cfg.Config.error_threshold
           then IntSet.empty
           else passthrough.Shadow.infl
       | None ->
@@ -231,7 +229,7 @@ let do_op st ~stmt_id ~loc ~name ~single ~(client : float)
     o.o_count <- o.o_count + 1;
     o.o_local_err_sum <- o.o_local_err_sum +. local_err;
     if local_err > o.o_local_err_max then o.o_local_err_max <- local_err;
-    let oe = out_error st client real ~single in
+    let oe = out_error st client near ~single in
     o.o_out_err_sum <- o.o_out_err_sum +. oe;
     if oe > o.o_out_err_max then o.o_out_err_max <- oe
   end
@@ -242,7 +240,7 @@ let do_op st ~stmt_id ~loc ~name ~single ~(client : float)
     o.o_local_err_sum <- o.o_local_err_sum +. local_err;
     if local_err > o.o_local_err_max then o.o_local_err_max <- local_err
   end;
-  SVal { Shadow.real; value = client; trace; infl; single }
+  SVal { Shadow.real; near; value = client; trace; infl; single }
 
 (* comparison of two shadowed floats in the reals *)
 let do_cmp st ~(client : bool) (cmp : B.t -> B.t -> bool) (a : float)
@@ -280,9 +278,9 @@ let sign_op st name (f : B.t -> B.t) (s : Shadow.t) (result : Vex.Value.t) :
            [| Shadow.trace_of s |]
            client)
     in
-    SVal { s with Shadow.real; value = client; trace }
+    SVal { s with Shadow.real; near = B.to_float real; value = client; trace }
   end
-  else SVal { s with Shadow.real }
+  else SVal { s with Shadow.real; near = B.to_float real }
 
 (* SIMD packed float ops: one shadow op per lane, same pc *)
 let simd2 st ~loc ~stmt_id name ffn rfn av ash bv bsh result : Shadow.slot =
@@ -343,7 +341,7 @@ let record_output st ~loc ~stmt_id (v : Vex.Value.t) (sh : Shadow.slot) =
          division-by-zero finding, section 7) *)
       let err =
         if Float.is_nan f && st.cfg.Config.enable_reals then 64.0
-        else out_error st f s.Shadow.real ~single:s.Shadow.single
+        else out_error st f s.Shadow.near ~single:s.Shadow.single
       in
       sp.s_err_sum <- sp.s_err_sum +. err;
       if err > sp.s_err_max then sp.s_err_max <- err;
@@ -403,7 +401,15 @@ let shadow_unop st ~loc ~stmt_id (op : Vex.Ir.unop) (av : Vex.Value.t)
           None
         end
       in
-      SVal { Shadow.real; value = client; trace; infl = IntSet.empty; single }
+      SVal
+        {
+          Shadow.real;
+          near = B.to_float real;
+          value = client;
+          trace;
+          infl = IntSet.empty;
+          single;
+        }
   (* float -> int: a conversion spot *)
   | Vex.Ir.F64toI64tz | Vex.Ir.F32toI64tz | Vex.Ir.F64toI64rn -> begin
       (match ash with

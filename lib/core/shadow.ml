@@ -7,6 +7,12 @@
    in temporaries, thread state, and memory (section 6.2); OCaml's GC
    replaces the reference counting of the C implementation.
 
+   [near] caches [real] rounded to the nearest double. Every per-op
+   error measurement (local error, output error, the compensation
+   check) reads it, so each shadow real is rounded exactly once, where
+   the shadow is built; the invariant [near = Bigfloat.to_float real]
+   holds at every construction site.
+
    [value] is the client double computed where the shadow was created
    (trace-node semantics: passthrough rewrites such as precision moves
    keep the creating site's value). It lives directly in the shadow so
@@ -22,6 +28,7 @@ module IntSet = Set.Make (Int)
 
 type t = {
   real : Bignum.Bigfloat.t;
+  near : float;  (* [Bignum.Bigfloat.to_float real] *)
   value : float;
   trace : Trace.node option;
   infl : IntSet.t;
@@ -47,7 +54,8 @@ let fresh_leaf ?(single = false) ~traces (v : float) : t =
       None
     end
   in
-  { real; value = v; trace; infl = IntSet.empty; single }
+  { real; near = Bignum.Bigfloat.to_float real; value = v; trace;
+    infl = IntSet.empty; single }
 
 let client_value (s : t) : float = s.value
 

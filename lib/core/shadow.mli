@@ -10,12 +10,19 @@
     pre-pass proves no consumer can ever see a trace, shadows carry
     [None] and only the logical node count is kept ({!Trace.phantom});
     [value] preserves the client double the trace node would have
-    displayed. *)
+    displayed.
+
+    [near] is [real] rounded to the nearest double, computed once where
+    the shadow is built: local error, output error and the compensation
+    check all compare against it, so no per-op measurement rounds a
+    shadow real again. Every construction site must keep
+    [near = Bignum.Bigfloat.to_float real]. *)
 
 module IntSet : Set.S with type elt = int
 
 type t = {
   real : Bignum.Bigfloat.t;  (** the exact value *)
+  near : float;  (** [real] rounded to the nearest double *)
   value : float;  (** the client double computed where this was created *)
   trace : Trace.node option;  (** how it was computed; [None] = phantom *)
   infl : IntSet.t;  (** stmt ids of tainting operations *)

@@ -19,7 +19,14 @@
 
    It pins 256-bit shadow arithmetic, so regenerate it only for a
    deliberate change to regime inference or rewriting, never to absorb
-   a Bigfloat kernel change. *)
+   a Bigfloat kernel change.
+
+   The same command also writes the ablation pins
+   (test/data/ablation_<tag>.jsonl, checked by test_compile.ml): the
+   full engine over the 72 straight-line programs at 4 iterations in
+   three configurations that take the [Core.Exec.do_op] branches the
+   default configuration never reaches (no expressions, no reals,
+   classic anti-unification at equivalence depth 2). *)
 
 let rec scrub (j : Json.t) : Json.t =
   match j with
@@ -46,6 +53,26 @@ let engines =
     ("tiered", Core.Config.Tiered);
   ]
 
+(* the ablation configurations, shared with test_compile.ml's copy *)
+let ablations =
+  let d = Core.Config.default in
+  [
+    ("no_expressions", { d with Core.Config.enable_expressions = false });
+    ("no_reals", { d with Core.Config.enable_reals = false });
+    ( "classic_depth2",
+      { d with Core.Config.classic_antiunify = true; equiv_depth = 2 } );
+  ]
+
+let write_pins path outcomes =
+  let oc = open_out path in
+  List.iter
+    (fun o ->
+      output_string oc (canon o);
+      output_char oc '\n')
+    outcomes;
+  close_out oc;
+  Printf.printf "%s: %d records\n%!" path (List.length outcomes)
+
 let () =
   let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "test/data" in
   List.iter
@@ -54,13 +81,15 @@ let () =
       let jobs = Fpcore.Suite.enumerate ~iterations:16 ~seed:1 () in
       let specs = List.map (Fleet.bench_spec ~cfg) jobs in
       let outcomes = Fleet.run ~jobs:4 specs in
-      let path = Filename.concat dir ("compile_suite_" ^ tag ^ ".jsonl") in
-      let oc = open_out path in
-      List.iter
-        (fun o ->
-          output_string oc (canon o);
-          output_char oc '\n')
-        outcomes;
-      close_out oc;
-      Printf.printf "%s: %d records\n%!" path (List.length outcomes))
-    engines
+      write_pins
+        (Filename.concat dir ("compile_suite_" ^ tag ^ ".jsonl"))
+        outcomes)
+    engines;
+  List.iter
+    (fun (tag, cfg) ->
+      let jobs =
+        Fpcore.Suite.enumerate ~iterations:4 ~seed:1 ~group:`Straight ()
+      in
+      let outcomes = Fleet.run ~jobs:4 (List.map (Fleet.bench_spec ~cfg) jobs) in
+      write_pins (Filename.concat dir ("ablation_" ^ tag ^ ".jsonl")) outcomes)
+    ablations

@@ -807,6 +807,201 @@ let qcheck_tests =
         B.is_zero d || B.lt (B.div ~prec:60 d x) (B.mul_2exp B.one (-180)));
   ]
 
+(* ---------- exact-size results and the remainder-free quotient ---------- *)
+
+(* Naturals of exactly [limbs] limbs whose limbs are drawn to hit carry
+   and correction boundaries: all ones, zero, one, or random. The top
+   limb is drawn from the same mix, kept nonzero. *)
+let boundary_nat st limbs =
+  let limb () =
+    match Random.State.int st 4 with
+    | 0 -> (1 lsl 31) - 1
+    | 1 -> 0
+    | 2 -> 1
+    | _ -> Random.State.full_int st (1 lsl 31)
+  in
+  let acc = ref N.zero in
+  for i = 1 to limbs do
+    let l = limb () in
+    let l = if i = 1 && l = 0 then 1 else l in
+    acc := N.add_shifted !acc 31 (N.of_int l)
+  done;
+  !acc
+
+(* [quot_exact] against [divmod]: divisors of 2 to 40 limbs (Knuth's
+   path) and of one limb, dividends up to 80 limbs, with exact
+   quotients (a = q b), off-by-one remainders (a = q b +- 1) and a < b. *)
+let nat_quot_exact () =
+  let st = Random.State.make [| 0xd1f |] in
+  let exact = ref 0 in
+  for i = 1 to 3000 do
+    let bl = if i mod 10 = 0 then 1 else 2 + Random.State.int st 39 in
+    let b = boundary_nat st bl in
+    let a =
+      match i mod 4 with
+      | 0 -> N.mul (boundary_nat st (1 + Random.State.int st 40)) b
+      | 1 ->
+          N.add (N.mul (boundary_nat st (1 + Random.State.int st 40)) b) N.one
+      | 2 ->
+          N.sub (N.mul (boundary_nat st (1 + Random.State.int st 40)) b) N.one
+      | _ -> boundary_nat st (1 + Random.State.int st 80)
+    in
+    let q, r = N.divmod a b in
+    let q', z = N.quot_exact a b in
+    if z then incr exact;
+    checkb "quotient" true (N.equal q q');
+    checkb "remainder is zero" (N.is_zero r) z;
+    checkb "canonical quotient" true (N.canonical q')
+  done;
+  checkb "exact quotients exercised" true (!exact >= 700);
+  checkb "zero dividend" true (snd (N.quot_exact N.zero (N.of_int 3)));
+  Alcotest.check_raises "zero divisor" Division_by_zero (fun () ->
+      ignore (N.quot_exact N.one N.zero))
+
+(* [add], [mul_int] and [divmod_int] size their results from the top
+   limbs; every result must still be canonical (no zero top limb, which
+   [compare] and [equal] rely on) and arithmetically right. *)
+let nat_exact_size_canonical () =
+  let st = Random.State.make [| 0xca4 |] in
+  let ks = [| 1; 2; 3; 7; (1 lsl 30) - 1; 1 lsl 30; (1 lsl 31) - 1 |] in
+  for _ = 1 to 3000 do
+    let a = boundary_nat st (Random.State.int st 12) in
+    let b = boundary_nat st (Random.State.int st 12) in
+    let k =
+      if Random.State.bool st then ks.(Random.State.int st (Array.length ks))
+      else 1 + Random.State.full_int st ((1 lsl 31) - 1)
+    in
+    let s = N.add a b in
+    checkb "add canonical" true (N.canonical s);
+    checkb "add commutes" true (N.equal s (N.add b a));
+    checkb "add inverts" true (N.equal (N.sub s b) a);
+    let p = N.mul_int a k in
+    checkb "mul_int canonical" true (N.canonical p);
+    let q, r = N.divmod_int p k in
+    checkb "divmod_int canonical" true (N.canonical q);
+    checkb "mul_int then divmod_int" true (N.equal q a && r = 0);
+    let q, r = N.divmod_int a k in
+    checkb "divmod_int canonical" true (N.canonical q);
+    checkb "a = q k + r" true (N.equal a (N.add (N.mul_int q k) (N.of_int r)));
+    checkb "r < k" true (r >= 0 && r < k)
+  done
+
+(* ---------- Bigfloat.to_float against an exact oracle ----------
+
+   For d = to_float x, exact Bigfloat arithmetic checks that x is no
+   closer to either neighbour of d than to d, and that a tie went to
+   the even one. Above max_float the neighbour is 2^1024, standing in
+   for infinity: d is infinite exactly when |x| >= 2^1024 - 2^970. *)
+
+(* every operand below spans fewer than 7,000 bits, so subtractions at
+   this precision are exact *)
+let exact_prec = 20_000
+
+let check_nearest what x =
+  let d = B.to_float x in
+  checkb (what ^ ": sign") (B.is_negative x) (Float.sign_bit d);
+  let ax = B.abs x and ad = Float.abs d in
+  let overflow =
+    B.sub ~prec:exact_prec (B.mul_2exp B.one 1024) (B.mul_2exp B.one 970)
+  in
+  if ad = Float.infinity then
+    checkb (what ^ ": overflow") true (B.ge ax overflow)
+  else begin
+    let dist y = B.abs (B.sub ~prec:exact_prec ax y) in
+    let d0 = dist (B.of_float ad) in
+    let even = Int64.logand (Int64.bits_of_float ad) 1L = 0L in
+    let neighbour y =
+      match B.cmp d0 (dist y) with
+      | Some c when c < 0 -> ()
+      | Some 0 -> checkb (what ^ ": tie to even") true even
+      | _ -> Alcotest.failf "%s: %h is not the nearest double" what d
+    in
+    if ad > 0.0 then neighbour (B.of_float (Float.pred ad));
+    neighbour
+      (if ad = Float.max_float then B.mul_2exp B.one 1024
+       else B.of_float (Float.succ ad))
+  end
+
+let bf_to_float_oracle () =
+  let st = Random.State.make [| 0x70f |] in
+  (* a mantissa of exactly [bits] bits *)
+  let mant bits =
+    if bits = 1 then N.one
+    else begin
+      let r = boundary_nat st (2 + ((bits - 1) / 31)) in
+      N.add_shifted N.one (bits - 1)
+        (N.shift_right r (N.bit_length r - (bits - 1)))
+    end
+  in
+  (* x = m 2^(mag - bits m), of magnitude [mag] *)
+  let at ~neg m mag = B.make ~neg ~mant:m ~exp:(mag - N.bit_length m) in
+  let sign () = Random.State.bool st in
+  let n = ref 0 in
+  let check what x =
+    incr n;
+    check_nearest what x
+  in
+  (* seeded mantissas of 1 to 4,000 bits across the whole range *)
+  for _ = 1 to 3000 do
+    let bits = 1 + Random.State.int st 4000 in
+    let mag = -1100 + Random.State.int st 2130 in
+    check "random" (at ~neg:(sign ()) (mant bits) mag)
+  done;
+  (* exact ties and ties one unit off, at many drop widths: the kept
+     part [keep] sits at quantum 2^q, then a half and +-1 at the bottom *)
+  let drops = List.init 200 (fun i -> i + 1) @ List.init 100 (fun _ -> 1 + Random.State.int st 4000) in
+  List.iter
+    (fun drop ->
+      let keep, q =
+        match Random.State.int st 3 with
+        | 0 -> (mant (1 + Random.State.int st 52), -1074)
+        | _ ->
+            (mant 53, -1074 + Random.State.int st (971 + 1074 + 1))
+      in
+      let tie = N.add_shifted keep 1 N.one in
+      let scaled = N.shift_left tie (drop - 1) in
+      let neg = sign () in
+      let x m = B.make ~neg ~mant:m ~exp:(q - drop) in
+      check "tie" (x scaled);
+      if drop >= 2 then begin
+        check "tie + 1" (x (N.add scaled N.one));
+        check "tie - 1" (x (N.sub scaled N.one))
+      end)
+    drops;
+  (* the overflow threshold 2^1024 - 2^970 and its neighbourhood *)
+  let thr = N.sub (N.shift_left N.one 54) N.one in
+  List.iter
+    (fun neg ->
+      let x m e = B.make ~neg ~mant:m ~exp:e in
+      check "max_float tie" (x thr 970);
+      check "below max tie" (x (N.sub (N.shift_left thr 100) N.one) 870);
+      check "above max tie" (x (N.add (N.shift_left thr 100) N.one) 870);
+      check "2^1024" (x N.one 1024))
+    [ false; true ];
+  (* magnitudes 1023 to 1026, where overflow decides *)
+  for _ = 1 to 400 do
+    let mag = 1023 + Random.State.int st 4 in
+    check "overflow range" (at ~neg:(sign ()) (mant (1 + Random.State.int st 300)) mag)
+  done;
+  (* the subnormal range and the 2^-1074 edge *)
+  for _ = 1 to 1500 do
+    let mag = -1090 + Random.State.int st 70 in
+    check "subnormal" (at ~neg:(sign ()) (mant (1 + Random.State.int st 200)) mag)
+  done;
+  List.iter
+    (fun (m, e) ->
+      check "edge" (B.make ~neg:false ~mant:m ~exp:e);
+      check "edge" (B.make ~neg:true ~mant:m ~exp:e))
+    [
+      (N.one, -1074); (N.one, -1075); (N.one, -1076); (N.one, -1081);
+      (N.of_int 3, -1075); (N.of_int 5, -1076); (N.of_int 3, -1076);
+      (N.add_shifted N.one 125 N.one, -1200);
+      (N.sub (N.shift_left N.one 125) N.one, -1200);
+      (N.sub (N.shift_left N.one 53) N.one, -1075);
+      (N.sub (N.shift_left N.one 54) N.one, -1076);
+    ];
+  checkb "cases run" true (!n > 5000)
+
 let () =
   Random.init 0x5eed;
   Alcotest.run "bignum"
@@ -823,6 +1018,9 @@ let () =
           Alcotest.test_case "karatsuba matches" `Quick nat_karatsuba_matches;
           Alcotest.test_case "shifts" `Quick nat_shifts;
           Alcotest.test_case "to_float" `Quick nat_to_float;
+          Alcotest.test_case "quot_exact = divmod" `Quick nat_quot_exact;
+          Alcotest.test_case "exact-size results canonical" `Quick
+            nat_exact_size_canonical;
         ] );
       ( "bigint",
         [
@@ -844,6 +1042,8 @@ let () =
           Alcotest.test_case "decimal print" `Quick bf_decimal_print;
           Alcotest.test_case "floor/ceil/round/trunc" `Quick bf_floor_ceil;
           Alcotest.test_case "subnormal conversion" `Quick bf_subnormal_to_float;
+          Alcotest.test_case "to_float = nearest (exact oracle)" `Quick
+            bf_to_float_oracle;
         ] );
       ( "bigfloat_math",
         [

@@ -69,6 +69,39 @@ let suite_identity (tag, engine) () =
           tag i w g)
     (List.combine want got)
 
+(* ---------- ablation configurations of the full engine ----------
+
+   The default configuration runs every analysis, so the suite pins
+   never take [Core.Exec.do_op]'s branches for expressions off, reals
+   off, or classic anti-unification at a shallow equivalence depth.
+   These pins (emitted before the per-op bookkeeping was made cheap; see
+   regen_pins.ml) cover them over the 72 straight-line programs. The
+   group is named "flags", not "ablation": alcotest pads every test name
+   to the longest group name, and a longer one would truncate the
+   "suite" names differently. *)
+
+let ablations =
+  let d = Core.Config.default in
+  [
+    ("no_expressions", { d with Core.Config.enable_expressions = false });
+    ("no_reals", { d with Core.Config.enable_reals = false });
+    ( "classic_depth2",
+      { d with Core.Config.classic_antiunify = true; equiv_depth = 2 } );
+  ]
+
+let ablation_identity (tag, cfg) () =
+  let jobs = Fpcore.Suite.enumerate ~iterations:4 ~seed:1 ~group:`Straight () in
+  let outcomes = Fleet.run ~jobs:4 (List.map (Fleet.bench_spec ~cfg) jobs) in
+  let got = List.map canon outcomes in
+  let want = read_lines ("data/ablation_" ^ tag ^ ".jsonl") in
+  Alcotest.(check int) "record count" (List.length want) (List.length got);
+  List.iteri
+    (fun i (w, g) ->
+      if w <> g then
+        Alcotest.failf "ablation %s, record %d diverges\nwant: %s\ngot:  %s"
+          tag i w g)
+    (List.combine want got)
+
 (* ---------- 500 seed-42 fuzz programs, digest-pinned ---------- *)
 
 let max_steps = 2_000_000
@@ -175,6 +208,13 @@ let () =
               (fst e ^ " engine, 82 benchmarks byte-identical")
               `Quick (suite_identity e))
           engines );
+      ( "flags",
+        List.map
+          (fun e ->
+            Alcotest.test_case
+              (fst e ^ ", 72 straight-line programs byte-identical")
+              `Quick (ablation_identity e))
+          ablations );
       ( "fuzz",
         [
           Alcotest.test_case "500 seed-42 programs, three engines" `Quick
